@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
 MAX_SIDE = 64
@@ -66,16 +68,26 @@ class Preference:
     The empty set is never stored: the list holds exactly the sets preferred
     to being unmatched, and "the choice is empty" is implicit when no entry
     fits the available pool.
+
+    `acceptable` is the union of the ranked sets: every partner the agent
+    would accept. Partners outside it never change a choice, so the list
+    memoizes its choices in `_choice_cache`, keyed by `pool & acceptable`.
+    The cache belongs to this list alone: a truncated or replaced list is a
+    new `Preference` with an empty cache.
     """
 
     owner: AgentId
     ranked: tuple[int, ...]
+    acceptable: int = field(init=False, compare=False, repr=False)
+    _choice_cache: dict[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if any(m <= 0 for m in self.ranked):
             raise ValueError(f"empty set in ranking of {self.owner}")
         if len(set(self.ranked)) != len(self.ranked):
             raise ValueError(f"duplicate set in ranking of {self.owner}")
+        object.__setattr__(self, "acceptable", reduce(or_, self.ranked, 0))
+        object.__setattr__(self, "_choice_cache", {})
 
     def singleton_mask(self) -> int:
         """Union of the entries that are single partners."""
@@ -91,7 +103,9 @@ class Profile:
     """A full market: both sides' counts, preferences, and display names.
 
     Immutable after construction; every operation on it is a pure function,
-    so profiles can be shared freely across threads.
+    so profiles can be shared freely across threads. The profile holds no
+    cache of its own: choices are memoized on each `Preference`, so profiles
+    that share a list share its cached choices.
     """
 
     n_firms: int
@@ -100,7 +114,6 @@ class Profile:
     worker_prefs: tuple[Preference, ...]
     firm_names: tuple[str, ...] = ()
     worker_names: tuple[str, ...] = ()
-    _choice_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.n_firms <= MAX_SIDE or not 0 <= self.n_workers <= MAX_SIDE:
@@ -151,15 +164,17 @@ def choice(profile: Profile, agent: AgentId, available: int) -> int:
     With ranked-list preferences this is the first listed set contained in
     the pool, or 0 when none fits. Total: never raises.
     """
-    key = (agent, available)
-    got = profile._choice_cache.get(key, -1)
-    if got < 0:
+    pref = profile.pref(agent)
+    pool = available & pref.acceptable
+    cache = pref._choice_cache
+    got = cache.get(pool)
+    if got is None:
         got = 0
-        for entry in profile.pref(agent).ranked:
-            if entry & available == entry:
+        for entry in pref.ranked:
+            if entry & pool == entry:
                 got = entry
                 break
-        profile._choice_cache[key] = got
+        cache[pool] = got
     return got
 
 

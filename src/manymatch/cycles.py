@@ -53,13 +53,14 @@ def build_digraph(reduced: ReducedProfile) -> Digraph:
     nw = reduced.base.n_workers
     pool = full_mask(nw)
     wv_mu = mu.worker_view()
+    wv_mut = mut.worker_view()
 
     v1 = sorted(
         (w, f) for f in range(nf) for w in bit_indices(mu.assign[f] & ~mut.assign[f])
     )
     v1_set = set(v1)
-    v2 = sorted(
-        (f, w) for f in range(nf) for w in range(nw) if (w, f) not in v1_set
+    v2 = tuple(
+        (f, w) for f in range(nf) for w in bit_indices(pool & ~(mu.assign[f] & ~mut.assign[f]))
     )
 
     arcs_12: dict[Pair, Pair] = {}
@@ -70,17 +71,21 @@ def build_digraph(reduced: ReducedProfile) -> Digraph:
         if chosen & kept == kept and extra and not extra & (extra - 1):
             arcs_12[(w, f)] = (f, extra.bit_length() - 1)
 
+    # A worker only takes a firm it still accepts after the reduction, so
+    # only those v2 nodes (f, w) are tried; the rest have no arc.
     arcs_21: dict[Pair, Pair] = {}
-    for f, w in v2:
+    for w in range(nw):
         mine = wv_mu[w]
-        chosen = reduced.choice_reduced(worker(w), mine | (1 << f))
-        dropped = mine & ~chosen
-        if chosen >> f & 1 and dropped and not dropped & (dropped - 1):
-            target = (w, dropped.bit_length() - 1)
-            if target in v1_set:
-                arcs_21[(f, w)] = target
+        accepted = reduced.base.worker_prefs[w].acceptable & ~reduced.banned_worker[w]
+        for f in bit_indices(accepted & ~(mine & ~wv_mut[w])):
+            chosen = reduced.choice_reduced(worker(w), mine | (1 << f))
+            dropped = mine & ~chosen
+            if chosen >> f & 1 and dropped and not dropped & (dropped - 1):
+                target = (w, dropped.bit_length() - 1)
+                if target in v1_set:
+                    arcs_21[(f, w)] = target
 
-    return Digraph(tuple(v1), tuple(v2), arcs_12, arcs_21)
+    return Digraph(tuple(v1), v2, arcs_12, arcs_21)
 
 
 def satisfies_cycle_conditions(reduced: ReducedProfile, pairs: tuple[Pair, ...]) -> bool:

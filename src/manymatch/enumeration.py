@@ -173,7 +173,7 @@ def mms_algorithm(profile: Profile, validate: bool = True) -> tuple[list[Matchin
                         truncate(p, worker(w)) if i == f else p
                         for i, p in enumerate(base.firm_prefs)
                     )
-                    trial = replace(base, firm_prefs=cut, _choice_cache={})
+                    trial = replace(base, firm_prefs=cut)
                     candidate, _ = deferred_acceptance(trial, Side.FIRM)
                     failures = _worker_objections(profile, nu, candidate)
                     accepted = not failures

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .core import (
@@ -31,13 +32,18 @@ class Matching:
     assign: tuple[int, ...]
     n_workers: int
 
-    def worker_view(self) -> tuple[int, ...]:
-        """Per worker, the mask of firms whose assigned set contains it."""
+    @cached_property
+    def _worker_view(self) -> tuple[int, ...]:
         firms_of = [0] * self.n_workers
         for f, ws in enumerate(self.assign):
             for w in bit_indices(ws):
                 firms_of[w] |= 1 << f
         return tuple(firms_of)
+
+    def worker_view(self) -> tuple[int, ...]:
+        """Per worker, the mask of firms whose assigned set contains it
+        (computed once per matching)."""
+        return self._worker_view
 
     def agent_mask(self, agent: AgentId) -> int:
         if agent.side is Side.FIRM:
@@ -67,7 +73,9 @@ def stability(profile: Profile, m: Matching) -> StabilityReport:
     An agent is irrational when it would drop part of its own match. A pair
     (f, w) blocks when w is not matched to f, f would take w alongside its
     match, and w would take f alongside its match. Exhaustive, deterministic
-    ordering: firms before workers, pairs by (firm, worker).
+    ordering: firms before workers, pairs by (firm, worker). A firm never
+    takes a worker outside its ranked sets, so the pair scan visits only the
+    workers each firm finds acceptable.
     """
     irrational: list[AgentId] = []
     for f in range(profile.n_firms):
@@ -81,10 +89,8 @@ def stability(profile: Profile, m: Matching) -> StabilityReport:
     blocking: list[tuple[int, int]] = []
     for f in range(profile.n_firms):
         mine = m.assign[f]
-        for w in range(profile.n_workers):
+        for w in bit_indices(profile.firm_prefs[f].acceptable & ~mine):
             wbit = 1 << w
-            if mine & wbit:
-                continue
             if not choice(profile, firm(f), mine | wbit) & wbit:
                 continue
             if choice(profile, worker(w), views[w] | (1 << f)) >> f & 1:

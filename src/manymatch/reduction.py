@@ -4,14 +4,18 @@ The reduced profile keeps, for each agent, exactly the ranked sets compatible
 with the band between the agent's two assigned sets; everything outside is
 deleted by banning individual partners and dropping every set that contains a
 banned partner. A per-agent banned mask therefore characterizes the whole
-reduction, and materialized lists are one mask filter per ranked list.
+reduction: a reduced choice is a base choice from the pool minus the banned
+partners, so every reduction shares the base profile's cached choices. The
+reduced lists themselves are built only on demand, one mask filter per
+ranked list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .core import AgentId, Preference, Profile, Side, choice, firm, worker
+from .core import AgentId, Preference, Profile, Side, bit_indices, choice, firm, full_mask, worker
 from .da import deferred_acceptance
 from .matching import Matching, stability, unanimous_blair_geq
 
@@ -26,11 +30,13 @@ class NotComparable(Exception):
 
 @dataclass(frozen=True)
 class ReducedProfile:
-    """Base profile plus the per-agent banned partners and the surviving lists.
+    """Base profile plus the per-agent banned partners.
 
-    For every agent a and pool S, choosing under `materialized` equals
+    For every agent a and pool S, choosing under the reduced lists equals
     choosing under `base` from S minus a's banned partners (the reduction is
-    a composition of single-partner truncations).
+    a composition of single-partner truncations); `choice_reduced` evaluates
+    it that way. The reduced lists are built as `materialized` only when
+    first read.
     """
 
     base: Profile
@@ -38,7 +44,6 @@ class ReducedProfile:
     mu_tilde: Matching
     banned_firm: tuple[int, ...]  # per firm: mask of banned workers
     banned_worker: tuple[int, ...]  # per worker: mask of banned firms
-    materialized: Profile
 
     def banned(self, agent: AgentId) -> int:
         if agent.side is Side.FIRM:
@@ -46,7 +51,20 @@ class ReducedProfile:
         return self.banned_worker[agent.index]
 
     def choice_reduced(self, agent: AgentId, available: int) -> int:
-        return choice(self.materialized, agent, available)
+        return choice(self.base, agent, available & ~self.banned(agent))
+
+    @cached_property
+    def materialized(self) -> Profile:
+        """The reduced lists as a standalone profile, built on first read."""
+        base = self.base
+        return Profile(
+            base.n_firms,
+            base.n_workers,
+            tuple(_filtered(p, b) for p, b in zip(base.firm_prefs, self.banned_firm)),
+            tuple(_filtered(p, b) for p, b in zip(base.worker_prefs, self.banned_worker)),
+            base.firm_names,
+            base.worker_names,
+        )
 
 
 def _step12_banned(profile: Profile, agent: AgentId, top: int, bot: int) -> int:
@@ -59,10 +77,15 @@ def _step12_banned(profile: Profile, agent: AgentId, top: int, bot: int) -> int:
     quantifying over all witness sets: any witness yields the single-addition
     fact by substitutability, and choice(top | {b}) resp. bot | {b} are
     themselves witnesses.
+
+    Both assigned sets must be individually rational (the caller has checked
+    stability). Then a partner outside every ranked set is always banned by
+    the second test, since choice(bot | {b}) = choice(bot) = bot, so only
+    acceptable partners are tested.
     """
-    n = profile.opposite_size(agent.side)
-    banned = 0
-    for b in range(n):
+    acceptable = profile.pref(agent).acceptable
+    banned = full_mask(profile.opposite_size(agent.side)) & ~acceptable
+    for b in bit_indices(acceptable):
         bit = 1 << b
         if not top & bit and choice(profile, agent, top | bit) & bit:
             banned |= bit
@@ -102,27 +125,22 @@ def reduce_profile(profile: Profile, mu: Matching, mu_tilde: Matching) -> Reduce
         for w in range(profile.n_workers)
     ]
 
-    # Mutual-acceptability pass over the post-step-2 singleton survivors.
-    alive_f = [profile.firm_prefs[f].singleton_mask() & ~banned_f[f] for f in range(profile.n_firms)]
-    alive_w = [profile.worker_prefs[w].singleton_mask() & ~banned_w[w] for w in range(profile.n_workers)]
-    for f in range(profile.n_firms):
-        for w in range(profile.n_workers):
-            if not alive_w[w] >> f & 1:
-                banned_f[f] |= 1 << w
-            if not alive_f[f] >> w & 1:
-                banned_w[w] |= 1 << f
-
-    materialized = Profile(
-        profile.n_firms,
-        profile.n_workers,
-        tuple(_filtered(profile.firm_prefs[f], banned_f[f]) for f in range(profile.n_firms)),
-        tuple(_filtered(profile.worker_prefs[w], banned_w[w]) for w in range(profile.n_workers)),
-        profile.firm_names,
-        profile.worker_names,
-    )
-    return ReducedProfile(
-        profile, mu, mu_tilde, tuple(banned_f), tuple(banned_w), materialized
-    )
+    # Mutual-acceptability pass over the post-step-2 singleton survivors:
+    # f bans every worker whose surviving singletons lack f, and vice versa.
+    # The columns of each side's survivors are collected from the sparse rows.
+    alive_by_w = [0] * profile.n_firms  # per firm: workers whose singleton {f} survived
+    for w, p in enumerate(profile.worker_prefs):
+        for f in bit_indices(p.singleton_mask() & ~banned_w[w]):
+            alive_by_w[f] |= 1 << w
+    alive_by_f = [0] * profile.n_workers  # per worker: firms whose singleton {w} survived
+    for f, p in enumerate(profile.firm_prefs):
+        for w in bit_indices(p.singleton_mask() & ~banned_f[f]):
+            alive_by_f[w] |= 1 << f
+    all_w = full_mask(profile.n_workers)
+    all_f = full_mask(profile.n_firms)
+    banned_f = [b | (all_w & ~alive_by_w[f]) for f, b in enumerate(banned_f)]
+    banned_w = [b | (all_f & ~alive_by_f[w]) for w, b in enumerate(banned_w)]
+    return ReducedProfile(profile, mu, mu_tilde, tuple(banned_f), tuple(banned_w))
 
 
 def _filtered(pref: Preference, banned: int) -> Preference:

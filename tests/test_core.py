@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -63,6 +65,51 @@ class TestChoice:
         profile = lists_profile(ranked)
         fitting = [e for e in ranked if e & available == e]
         assert choice(profile, firm(0), available) == (fitting[0] if fitting else 0)
+
+
+def _first_fit(ranked: tuple[int, ...], pool: int) -> int:
+    """Uncached reference: the first listed set contained in the pool."""
+    return next((e for e in ranked if e & pool == e), 0)
+
+
+# One firm ranking sets over w1..w4 in a market of 8 workers, so w5..w8 lie
+# outside every ranked set. The profile is shared by every example below:
+# later examples read answers that earlier ones cached.
+WIDE = Profile(
+    1,
+    8,
+    (Preference(firm(0), entries("w1w2,w1w3,w1,w2w3w4,w3,w4")),),
+    tuple(Preference(worker(i), ()) for i in range(8)),
+)
+wide_pools = st.lists(st.integers(0, (1 << 8) - 1), min_size=1, max_size=20).map(
+    lambda pools: pools + pools[::-1]
+)
+
+
+class TestChoiceCache:
+    @given(pools=wide_pools)
+    def test_answers_match_uncached_scan(self, pools):
+        pref = WIDE.firm_prefs[0]
+        for pool in pools:
+            assert choice(WIDE, firm(0), pool) == _first_fit(pref.ranked, pool)
+        assert pref.acceptable == 0b1111
+        assert all(key & ~pref.acceptable == 0 for key in pref._choice_cache)
+
+    @given(
+        pools=wide_pools,
+        cut=st.integers(0, 7),
+        reordered=st.permutations(WIDE.firm_prefs[0].ranked),
+    )
+    def test_derived_profiles_follow_their_own_lists(self, pools, cut, reordered):
+        original = WIDE.firm_prefs[0]
+        for pool in pools:
+            choice(WIDE, firm(0), pool)
+        truncated = replace(WIDE, firm_prefs=(truncate(original, worker(cut)),))
+        reranked = replace(WIDE, firm_prefs=(Preference(firm(0), tuple(reordered)),))
+        for pool in pools:
+            assert choice(truncated, firm(0), pool) == _first_fit(truncated.firm_prefs[0].ranked, pool)
+            assert choice(reranked, firm(0), pool) == _first_fit(tuple(reordered), pool)
+            assert choice(WIDE, firm(0), pool) == _first_fit(original.ranked, pool)
 
 
 def _substitutable_by_definition(profile: Profile, agent) -> bool:

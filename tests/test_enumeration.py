@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,12 +13,18 @@ from conftest import build_matching, build_profile, entries
 from manymatch import (
     AxiomViolation,
     GenConfig,
+    Preference,
+    Profile,
+    bit_indices,
     brute_force_stable_set,
     compare_algorithms,
+    firm,
+    mask_of,
     mms_algorithm,
     random_market,
     stable_set,
     validate_profile,
+    worker,
 )
 
 markets = st.builds(
@@ -91,6 +100,73 @@ class TestStableSet:
         for m in matchings:
             if m != trace.mu_firm:
                 assert m in produced
+
+
+def wide_block_market(seed: int, n_blocks: int = 4, size: int = 3):
+    """Disjoint size x size blocks embedded in one market under shuffled
+    indices, so each agent accepts only the few partners of its own block.
+
+    Blocks are responsive (quota 2, every partner of the block acceptable) and
+    kept only when the oracle finds at least 2 stable matchings. The union's
+    stable set is the product of the blocks' sets; it is returned as sorted
+    firm-side assignment tuples.
+    """
+    rng = random.Random(seed)
+    blocks = []
+    while len(blocks) < n_blocks:
+        block = random_market(GenConfig(size, size, 2, 1.0, rng.randrange(1 << 31)))
+        stable = brute_force_stable_set(block)
+        if len(stable) >= 2:
+            blocks.append((block, stable))
+    n = size * n_blocks
+    fperm, wperm = list(range(n)), list(range(n))
+    rng.shuffle(fperm)
+    rng.shuffle(wperm)
+
+    def remap(mask: int, offset: int, perm: list[int]) -> int:
+        return mask_of(perm[offset + i] for i in bit_indices(mask))
+
+    firm_ranked: list[tuple[int, ...]] = [()] * n
+    worker_ranked: list[tuple[int, ...]] = [()] * n
+    block_sets = []  # per block: its stable matchings as {firm: worker mask}
+    for b, (block, stable) in enumerate(blocks):
+        o = b * size
+        for i, pref in enumerate(block.firm_prefs):
+            firm_ranked[fperm[o + i]] = tuple(remap(e, o, wperm) for e in pref.ranked)
+        for i, pref in enumerate(block.worker_prefs):
+            worker_ranked[wperm[o + i]] = tuple(remap(e, o, fperm) for e in pref.ranked)
+        block_sets.append(
+            [{fperm[o + i]: remap(ws, o, wperm) for i, ws in enumerate(m.assign)} for m in stable]
+        )
+    profile = Profile(
+        n,
+        n,
+        tuple(Preference(firm(i), r) for i, r in enumerate(firm_ranked)),
+        tuple(Preference(worker(i), r) for i, r in enumerate(worker_ranked)),
+    )
+    expected = []
+    for combo in itertools.product(*block_sets):
+        assign = [0] * n
+        for part in combo:
+            for f, ws in part.items():
+                assign[f] = ws
+        expected.append(tuple(assign))
+    return profile, sorted(expected)
+
+
+class TestWideMarkets:
+    """Agents that accept a few partners on a wide side: every scan bounded
+    by acceptable partners must still see each of them."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_block_product_is_the_stable_set(self, seed):
+        profile, expected = wide_block_market(seed)
+        assert profile.n_firms == profile.n_workers == 12
+        assert all(p.acceptable.bit_count() == 3 for p in profile.firm_prefs + profile.worker_prefs)
+        matchings, _ = stable_set(profile)
+        assert [m.assign for m in matchings] == expected
+        truncation, _ = mms_algorithm(profile, validate=False)
+        assert {m.assign for m in truncation} <= set(expected)
 
 
 class TestTruncationAlgorithm:
