@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Any
 
-from .core import CapExceeded, Side, bit_indices, is_substitutable, satisfies_lad
+from .core import DEFAULT_CHECK_CAP, CapExceeded, Side, bit_indices, is_substitutable, satisfies_lad
 from .da import deferred_acceptance
 from .enumeration import AxiomViolation, compare_algorithms, mms_algorithm, stable_set
 from .gen import GenConfig, random_market
@@ -59,11 +59,14 @@ def _fmt_matching(m: Matching, profile) -> str:
 
 def _cmd_validate(args) -> int:
     profile = parse_market(_load_json(args.market))
+    # Every check runs before the first line is printed, so an agent past the
+    # cap ends the command with no partial report on stdout.
+    verdicts = [
+        (profile.name(a), is_substitutable(profile, a, args.cap), satisfies_lad(profile, a, args.cap))
+        for a in profile.agents()
+    ]
     failures = []
-    for agent in profile.agents():
-        sub = is_substitutable(profile, agent, args.cap)
-        lad = satisfies_lad(profile, agent, args.cap)
-        name = profile.name(agent)
+    for name, sub, lad in verdicts:
         print(f"{name}: substitutable={'yes' if sub else 'NO'} lad={'yes' if lad else 'NO'}")
         if not sub:
             failures.append(f"{name} violates substitutability")
@@ -208,7 +211,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", help="per-agent substitutability and LAD report")
     v.add_argument("market")
-    v.add_argument("--cap", type=int, default=12, help="exhaustive-check cap (opposite side size)")
+    v.add_argument(
+        "--cap", type=int, default=DEFAULT_CHECK_CAP, help="exhaustive-check cap (acceptable partners)"
+    )
     v.set_defaults(func=_cmd_validate)
 
     d = sub.add_parser("da", help="deferred acceptance from one side")
@@ -261,19 +266,13 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MarketFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (NotStable, NotComparable) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except AxiomViolation as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
+    except (ValueError, NotStable, NotComparable) as e:  # MarketFormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1
 

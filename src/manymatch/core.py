@@ -13,7 +13,7 @@ from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
 MAX_SIDE = 64
-DEFAULT_CHECK_CAP = 12  # exhaustive axiom checks enumerate 2^n subsets
+DEFAULT_CHECK_CAP = 12  # exhaustive axiom checks enumerate 2^|acceptable partners| pools
 
 
 class CapExceeded(Exception):
@@ -73,7 +73,9 @@ class Preference:
     would accept. Partners outside it never change a choice, so the list
     memoizes its choices in `_choice_cache`, keyed by `pool & acceptable`.
     The cache belongs to this list alone: a truncated or replaced list is a
-    new `Preference` with an empty cache.
+    new `Preference` with an empty cache. Algorithms that truncate or reduce
+    lists therefore keep the base list and a banned mask instead, choosing
+    from `pool & ~banned`, which equals choosing under `without(banned)`.
     """
 
     owner: AgentId
@@ -88,6 +90,10 @@ class Preference:
             raise ValueError(f"duplicate set in ranking of {self.owner}")
         object.__setattr__(self, "acceptable", reduce(or_, self.ranked, 0))
         object.__setattr__(self, "_choice_cache", {})
+
+    def without(self, banned: int) -> "Preference":
+        """The list minus every ranked set that meets `banned`, order kept."""
+        return Preference(self.owner, tuple(e for e in self.ranked if not e & banned))
 
     def singleton_mask(self) -> int:
         """Union of the entries that are single partners."""
@@ -179,12 +185,26 @@ def choice(profile: Profile, agent: AgentId, available: int) -> int:
 
 
 def _choice_table(profile: Profile, agent: AgentId, cap: int) -> list[int]:
-    n = profile.opposite_size(agent.side)
-    if n > cap:
-        raise CapExceeded(f"exhaustive check over 2^{n} subsets exceeds cap {cap}")
-    ranked = profile.pref(agent).ranked
-    table = [0] * (1 << n)
-    for avail in range(1 << n):
+    """Choices from every pool of the agent's acceptable partners.
+
+    A choice only depends on `pool & acceptable`, so the table covers the
+    2^k subsets of the k acceptable partners, renumbered to bits 0..k-1 in
+    ascending order (a no-op when they already are the low bits). The axiom
+    checks read it in that compressed space, and the cap bounds k. Built by
+    a direct scan, not through `choice()`, so that the one-off table does not
+    fill the list's cache.
+    """
+    pref = profile.pref(agent)
+    acceptable = pref.acceptable
+    k = acceptable.bit_count()
+    if k > cap:
+        raise CapExceeded(f"exhaustive check over 2^{k} subsets exceeds cap {cap}")
+    ranked = pref.ranked
+    if acceptable & (acceptable + 1):  # not the low k bits: renumber them
+        position = {b: i for i, b in enumerate(bit_indices(acceptable))}
+        ranked = tuple(mask_of(position[b] for b in bit_indices(e)) for e in ranked)
+    table = [0] * (1 << k)
+    for avail in range(1 << k):
         for entry in ranked:
             if entry & avail == entry:
                 table[avail] = entry
@@ -217,11 +237,11 @@ def satisfies_lad(profile: Profile, agent: AgentId, cap: int = DEFAULT_CHECK_CAP
     shrinks the choice), equivalent to the subset form by chaining along any
     inclusion chain and exponentially cheaper.
     """
-    n = profile.opposite_size(agent.side)
     table = _choice_table(profile, agent, cap)
+    k = len(table).bit_length() - 1  # the table covers 2^k pools
     for avail in range(len(table)):
         size = table[avail].bit_count()
-        for x in range(n):
+        for x in range(k):
             bit = 1 << x
             if not avail & bit and table[avail | bit].bit_count() < size:
                 return False
@@ -232,7 +252,7 @@ def check_eq1(profile: Profile, agent: AgentId, cap: int = DEFAULT_CHECK_CAP) ->
     """Diagnostic identity: choice(S | S') == choice(choice(S) | S') for all pairs.
 
     Holds whenever the agent is substitutable. Quadratic in the subset
-    lattice, so keep the opposite side small.
+    lattice of the acceptable partners, so keep that set small.
     """
     table = _choice_table(profile, agent, cap)
     for s in range(len(table)):
@@ -256,5 +276,4 @@ def truncate(pref: Preference, banned: AgentId) -> Preference:
     """Drop every ranked set containing `banned`, keeping the rest in order."""
     if banned.side is pref.owner.side:
         raise ValueError("can only truncate at an agent of the opposite side")
-    bit = 1 << banned.index
-    return Preference(pref.owner, tuple(e for e in pref.ranked if not e & bit))
+    return pref.without(1 << banned.index)

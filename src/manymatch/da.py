@@ -32,7 +32,9 @@ class DATrace:
     rounds: tuple[DARound, ...]
 
 
-def deferred_acceptance(profile: Profile, proposing: Side) -> tuple[Matching, DATrace]:
+def deferred_acceptance(
+    profile: Profile, proposing: Side, bans: tuple[int, ...] | None = None
+) -> tuple[Matching, DATrace]:
     """Batch deferred acceptance; returns the proposing side's optimal stable
     matching (for substitutable preferences).
 
@@ -41,12 +43,22 @@ def deferred_acceptance(profile: Profile, proposing: Side) -> tuple[Matching, DA
     offers on the table plus whatever it already held, cutting the rest.
     Proposing is simultaneous each round, so the outcome is order-independent.
     Stops at the first round without a rejection.
+
+    `bans`, one receiver mask per proposer, seeds the rejection sets. A
+    proposer's choice then only ever sees pools without its banned receivers,
+    which is choosing under its list truncated at each of them, so the run,
+    trace included, is DA on that truncated profile while every choice reads
+    the base lists and their caches.
     """
     receiving = proposing.opposite
     n_prop = profile.side_size(proposing)
     n_recv = profile.side_size(receiving)
     pool = full_mask(n_recv)
-    rejected_by = [0] * n_prop  # receiver masks that cut each proposer
+    if bans is None:
+        bans = (0,) * n_prop
+    elif len(bans) != n_prop:
+        raise ValueError(f"{len(bans)} ban masks for {n_prop} proposers")
+    rejected_by = list(bans)  # receiver masks that cut (or ban) each proposer
     held = [0] * n_recv  # proposer masks currently held
     rounds: list[DARound] = []
     limit = profile.n_firms * profile.n_workers * (1 << max(profile.n_firms, profile.n_workers)) + 1

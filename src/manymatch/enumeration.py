@@ -12,7 +12,7 @@ the stable set, which the comparison report makes visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
     AgentId,
@@ -23,7 +23,6 @@ from .core import (
     choice,
     is_substitutable,
     satisfies_lad,
-    truncate,
     worker,
 )
 from .cycles import Cycle, cyclic_matching, find_cycles
@@ -151,6 +150,8 @@ def mms_algorithm(profile: Profile, validate: bool = True) -> tuple[list[Matchin
     leaves open which profile later rounds truncate; here each candidate
     truncates the profile that produced its source matching, accumulating
     cuts along the chain (the trace flags runs where that choice mattered).
+    The cuts are kept as per-firm banned-worker masks and handed to deferred
+    acceptance as initial rejections, which equals truncating each list.
 
     The returned set can be a strict subset of the stable set: candidates
     failing the worker test are discarded even though chaining through them
@@ -162,19 +163,15 @@ def mms_algorithm(profile: Profile, validate: bool = True) -> tuple[list[Matchin
     mu_w, _ = deferred_acceptance(profile, Side.WORKER)
     collected: dict[tuple[int, ...], Matching] = {mu_f.assign: mu_f, mu_w.assign: mu_w}
     records: list[TruncationCandidate] = []
-    frontier: list[tuple[Profile, Matching]] = [(profile, mu_f)]
+    frontier: list[tuple[tuple[int, ...], Matching]] = [((0,) * profile.n_firms, mu_f)]
     step = 1
     while frontier:
-        added: list[tuple[Profile, Matching]] = []
-        for base, nu in frontier:
+        added: list[tuple[tuple[int, ...], Matching]] = []
+        for bans, nu in frontier:
             for f in range(profile.n_firms):
                 for w in bit_indices(nu.assign[f] & ~mu_w.assign[f]):
-                    cut = tuple(
-                        truncate(p, worker(w)) if i == f else p
-                        for i, p in enumerate(base.firm_prefs)
-                    )
-                    trial = replace(base, firm_prefs=cut)
-                    candidate, _ = deferred_acceptance(trial, Side.FIRM)
+                    cut = bans[:f] + (bans[f] | 1 << w,) + bans[f + 1 :]
+                    candidate, _ = deferred_acceptance(profile, Side.FIRM, cut)
                     failures = _worker_objections(profile, nu, candidate)
                     accepted = not failures
                     records.append(
@@ -182,7 +179,7 @@ def mms_algorithm(profile: Profile, validate: bool = True) -> tuple[list[Matchin
                     )
                     if accepted and candidate.assign not in collected:
                         collected[candidate.assign] = candidate
-                        added.append((trial, candidate))
+                        added.append((cut, candidate))
         frontier = added
         step += 1
     result = [collected[k] for k in sorted(collected)]

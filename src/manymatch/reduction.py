@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import AgentId, Preference, Profile, Side, bit_indices, choice, firm, full_mask, worker
+from .core import AgentId, Profile, Side, bit_indices, choice, firm, full_mask, worker
 from .da import deferred_acceptance
 from .matching import Matching, stability, unanimous_blair_geq
 
@@ -60,8 +60,8 @@ class ReducedProfile:
         return Profile(
             base.n_firms,
             base.n_workers,
-            tuple(_filtered(p, b) for p, b in zip(base.firm_prefs, self.banned_firm)),
-            tuple(_filtered(p, b) for p, b in zip(base.worker_prefs, self.banned_worker)),
+            tuple(p.without(b) for p, b in zip(base.firm_prefs, self.banned_firm)),
+            tuple(p.without(b) for p, b in zip(base.worker_prefs, self.banned_worker)),
             base.firm_names,
             base.worker_names,
         )
@@ -141,10 +141,6 @@ def reduce_profile(profile: Profile, mu: Matching, mu_tilde: Matching) -> Reduce
     banned_f = [b | (all_w & ~alive_by_w[f]) for f, b in enumerate(banned_f)]
     banned_w = [b | (all_f & ~alive_by_f[w]) for w, b in enumerate(banned_w)]
     return ReducedProfile(profile, mu, mu_tilde, tuple(banned_f), tuple(banned_w))
-
-
-def _filtered(pref: Preference, banned: int) -> Preference:
-    return Preference(pref.owner, tuple(e for e in pref.ranked if not e & banned))
 
 
 def reduce_to_worker_optimal(profile: Profile, mu: Matching) -> ReducedProfile:

@@ -46,6 +46,26 @@ class TestValidate:
         assert "f1: substitutable=NO" in out
         assert "f1 violates substitutability" in err
 
+    def test_cap_counts_acceptable_partners(self, capsys, tmp_path):
+        # A 14-wide side; only f2, which accepts 13 workers, is past the cap.
+        workers = [f"w{i}" for i in range(1, 15)]
+        market = write(
+            tmp_path,
+            "wide.json",
+            {
+                "firms": ["f1", "f2"],
+                "workers": workers,
+                "firm_prefs": {"f1": [["w1"], ["w2"]], "f2": [[w] for w in workers[:13]]},
+                "worker_prefs": {w: [["f2"], ["f1"]] for w in workers},
+            },
+        )
+        code, out, err = run(capsys, "validate", market)
+        assert (code, out) == (3, "")
+        assert "2^13 subsets exceeds cap 12" in err
+        code, out, _ = run(capsys, "validate", market, "--cap", "13")
+        assert code == 0
+        assert out.count("substitutable=yes lad=yes") == 16
+
 
 class TestDa:
     def test_firm_proposing(self, capsys):

@@ -20,6 +20,7 @@ from manymatch import (
     firm,
     full_mask,
     is_substitutable,
+    mask_of,
     random_market,
     satisfies_lad,
     truncate,
@@ -40,8 +41,11 @@ ranked_lists = st.lists(
 ).map(tuple)
 
 
-def lists_profile(ranked: tuple[int, ...]) -> Profile:
-    return Profile(1, 4, (Preference(firm(0), ranked),), tuple(Preference(worker(i), ()) for i in range(4)))
+def lists_profile(ranked: tuple[int, ...], width: int = 4) -> Profile:
+    """One firm with the given list against `width` workers with empty lists."""
+    return Profile(
+        1, width, (Preference(firm(0), ranked),), tuple(Preference(worker(i), ()) for i in range(width))
+    )
 
 
 class TestChoice:
@@ -140,7 +144,8 @@ class TestSubstitutability:
         assert is_substitutable(small_profile(""), firm(0))
 
     def test_cap(self):
-        profile = Profile(1, 13, (Preference(firm(0), ()),), tuple(Preference(worker(i), ()) for i in range(13)))
+        # The cap counts acceptable partners: 13 ranked singletons exceed it.
+        profile = lists_profile(tuple(1 << i for i in range(13)), width=13)
         with pytest.raises(CapExceeded):
             is_substitutable(profile, firm(0))
         assert is_substitutable(profile, firm(0), cap=13)
@@ -150,6 +155,25 @@ class TestSubstitutability:
     def test_matches_definition(self, ranked):
         profile = lists_profile(ranked)
         assert is_substitutable(profile, firm(0)) == _substitutable_by_definition(profile, firm(0))
+
+
+# A ranked list over 4 partners placed at 4 distinct positions of a 20-wide side.
+embeddings = st.tuples(ranked_lists, st.permutations(range(20)).map(lambda p: p[:4]))
+
+
+class TestAcceptablePartnersOnly:
+    """The axiom checks read only the partners an agent accepts, so a list
+    spread over a side far wider than the cap gets the 4-wide answers."""
+
+    @settings(max_examples=100)
+    @given(embedding=embeddings)
+    def test_wide_side_gives_narrow_answers(self, embedding):
+        ranked, positions = embedding
+        narrow = lists_profile(ranked)
+        spread = tuple(mask_of(positions[i] for i in bit_indices(e)) for e in ranked)
+        wide = lists_profile(spread, width=20)
+        for check in (is_substitutable, satisfies_lad, check_eq1):
+            assert check(wide, firm(0)) == check(narrow, firm(0))
 
 
 class TestLad:

@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_profile
 from manymatch import (
     GenConfig,
     Side,
+    bit_indices,
     blair_geq,
     brute_force_stable_set,
     deferred_acceptance,
     random_market,
     stability,
+    truncate,
     unanimous_blair_geq,
+    worker,
 )
 from manymatch.core import AgentId
 
@@ -107,3 +113,28 @@ class TestAgainstOracle:
         mu_w, _ = deferred_acceptance(profile, Side.WORKER)
         if mu_f == mu_w:
             assert brute_force_stable_set(profile) == [mu_f]
+
+
+class TestBans:
+    """Ban masks seed the firms' rejections: DA then runs exactly as on the
+    profile whose firm lists are truncated at every banned worker."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(profile=markets, data=st.data())
+    def test_equals_da_on_the_truncated_profile(self, profile, data):
+        bans = tuple(
+            data.draw(st.integers(0, (1 << profile.n_workers) - 1)) for _ in range(profile.n_firms)
+        )
+        cut = []
+        for pref, banned in zip(profile.firm_prefs, bans):
+            for w in bit_indices(banned):
+                pref = truncate(pref, worker(w))
+            cut.append(pref)
+        truncated = replace(profile, firm_prefs=tuple(cut))
+        assert deferred_acceptance(profile, Side.FIRM, bans) == deferred_acceptance(truncated, Side.FIRM)
+
+    def test_wrong_length_is_rejected(self, ex1):
+        n = ex1.profile.n_firms
+        for bans in ((0,) * (n - 1), (0,) * (n + 1)):
+            with pytest.raises(ValueError):
+                deferred_acceptance(ex1.profile, Side.FIRM, bans)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from manymatch import (
     brute_force_stable_set,
     compare_algorithms,
     firm,
+    market_to_obj,
     mask_of,
     mms_algorithm,
     random_market,
@@ -26,6 +28,9 @@ from manymatch import (
     validate_profile,
     worker,
 )
+from manymatch.cli import main
+from manymatch.core import DEFAULT_CHECK_CAP
+from manymatch.serialize import dumps
 
 markets = st.builds(
     lambda nf, nw, q, prob, seed: random_market(GenConfig(nf, nw, q, prob, seed)),
@@ -102,19 +107,19 @@ class TestStableSet:
                 assert m in produced
 
 
-def wide_block_market(seed: int, n_blocks: int = 4, size: int = 3):
+def wide_block_market(seed: int, n_blocks: int = 4, size: int = 3, quota: int = 2):
     """Disjoint size x size blocks embedded in one market under shuffled
     indices, so each agent accepts only the few partners of its own block.
 
-    Blocks are responsive (quota 2, every partner of the block acceptable) and
-    kept only when the oracle finds at least 2 stable matchings. The union's
-    stable set is the product of the blocks' sets; it is returned as sorted
-    firm-side assignment tuples.
+    Blocks are responsive (the given quota, every partner of the block
+    acceptable) and kept only when the oracle finds at least 2 stable
+    matchings. The union's stable set is the product of the blocks' sets; it
+    is returned as sorted firm-side assignment tuples.
     """
     rng = random.Random(seed)
     blocks = []
     while len(blocks) < n_blocks:
-        block = random_market(GenConfig(size, size, 2, 1.0, rng.randrange(1 << 31)))
+        block = random_market(GenConfig(size, size, quota, 1.0, rng.randrange(1 << 31)))
         stable = brute_force_stable_set(block)
         if len(stable) >= 2:
             blocks.append((block, stable))
@@ -167,6 +172,25 @@ class TestWideMarkets:
         assert [m.assign for m in matchings] == expected
         truncation, _ = mms_algorithm(profile, validate=False)
         assert {m.assign for m in truncation} <= set(expected)
+
+    def test_side_wider_than_the_check_cap(self, tmp_path):
+        # 7 one-to-one swap blocks: 14 agents a side, more than the cap, but
+        # each agent ranks 2 singletons, so validation covers 2^2 pools.
+        profile, expected = wide_block_market(3, n_blocks=7, size=2, quota=1)
+        assert profile.n_firms == profile.n_workers == 14 > DEFAULT_CHECK_CAP
+        assert all(
+            len(p.ranked) == p.acceptable.bit_count() == 2
+            for p in profile.firm_prefs + profile.worker_prefs
+        )
+        assert len(expected) == 128
+        matchings, _ = stable_set(profile)
+        assert [m.assign for m in matchings] == expected
+        truncation, _ = mms_algorithm(profile)
+        assert {m.assign for m in truncation} <= set(expected)
+        market, out = tmp_path / "market.json", tmp_path / "out.json"
+        market.write_text(dumps(market_to_obj(profile)))
+        assert main(["enumerate", str(market), "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())) == 128
 
 
 class TestTruncationAlgorithm:
