@@ -26,7 +26,7 @@ from .core import (
     truncate,
     worker,
 )
-from .cycles import Cycle, Digraph, build_digraph, cyclic_matching, find_cycles
+from .cycles import Cycle, cyclic_matching, find_cycles
 from .da import DATrace, NonTermination, deferred_acceptance
 from .enumeration import (
     AxiomViolation,

@@ -4,7 +4,10 @@ A cycle is an ordered sequence of (worker, firm) pairs, each matched under the
 reduced profile's better matching but not its worse one, where every firm's
 best fallback after losing its worker picks up the next pair's worker, and
 every worker offered the previous pair's firm drops exactly its own firm.
-Cycles generalize the one-to-one "rotations" of the stable marriage lattice.
+Those equations give each such pair at most one successor pair, so the cycles
+are the loops of one successor map, found by walking it. Cycles generalize the
+one-to-one "rotations" of the stable marriage lattice, which are the loops of
+the same kind of successor function.
 """
 
 from __future__ import annotations
@@ -32,60 +35,41 @@ class Cycle:
         return Cycle(pairs[k:] + pairs[:k])
 
 
-@dataclass(frozen=True)
-class Digraph:
-    """Bipartite pointer graph whose directed cycles are exactly the cycles.
+def _successors(reduced: ReducedProfile) -> dict[Pair, Pair]:
+    """The successor map on v1, the pairs matched under mu but not mu_tilde.
 
-    v1 holds the (worker, firm) pairs matched under mu but not mu_tilde; v2
-    holds every remaining (firm, worker) pair. The defining choice equations
-    pin at most one successor per node, so both arc maps are functional.
+    A v1 pair (w, f) points at (w', f') when f, losing w, picks up exactly
+    one new worker w' and keeps the rest of mu(f); and w', offered f on top
+    of mu(w'), keeps f and drops exactly one firm f', with (w', f') in v1.
+    The defining choice equations pin at most one such successor per pair,
+    so the map is a function. It is built in sorted v1 order and leaves out
+    a pair with no successor.
     """
-
-    v1: tuple[Pair, ...]
-    v2: tuple[Pair, ...]
-    arcs_12: dict[Pair, Pair]  # (w, f) -> (f, w')
-    arcs_21: dict[Pair, Pair]  # (f, w) -> (w, f')
-
-
-def build_digraph(reduced: ReducedProfile) -> Digraph:
     mu, mut = reduced.mu, reduced.mu_tilde
-    nf = reduced.base.n_firms
-    nw = reduced.base.n_workers
-    pool = full_mask(nw)
+    pool = full_mask(reduced.base.n_workers)
     wv_mu = mu.worker_view()
     wv_mut = mut.worker_view()
-
-    v1 = sorted(
-        (w, f) for f in range(nf) for w in bit_indices(mu.assign[f] & ~mut.assign[f])
-    )
-    v1_set = set(v1)
-    v2 = tuple(
-        (f, w) for f in range(nf) for w in bit_indices(pool & ~(mu.assign[f] & ~mut.assign[f]))
-    )
-
-    arcs_12: dict[Pair, Pair] = {}
-    for w, f in v1:
+    succ: dict[Pair, Pair] = {}
+    for w, f in sorted(
+        (w, f)
+        for f in range(reduced.base.n_firms)
+        for w in bit_indices(mu.assign[f] & ~mut.assign[f])
+    ):
         kept = mu.assign[f] & ~(1 << w)
         chosen = reduced.choice_reduced(firm(f), pool & ~(1 << w))
         extra = chosen & ~kept
-        if chosen & kept == kept and extra and not extra & (extra - 1):
-            arcs_12[(w, f)] = (f, extra.bit_length() - 1)
-
-    # A worker only takes a firm it still accepts after the reduction, so
-    # only those v2 nodes (f, w) are tried; the rest have no arc.
-    arcs_21: dict[Pair, Pair] = {}
-    for w in range(nw):
-        mine = wv_mu[w]
-        accepted = reduced.base.worker_prefs[w].acceptable & ~reduced.banned_worker[w]
-        for f in bit_indices(accepted & ~(mine & ~wv_mut[w])):
-            chosen = reduced.choice_reduced(worker(w), mine | (1 << f))
-            dropped = mine & ~chosen
-            if chosen >> f & 1 and dropped and not dropped & (dropped - 1):
-                target = (w, dropped.bit_length() - 1)
-                if target in v1_set:
-                    arcs_21[(f, w)] = target
-
-    return Digraph(tuple(v1), v2, arcs_12, arcs_21)
+        if chosen & kept != kept or not extra or extra & (extra - 1):
+            continue
+        w_next = extra.bit_length() - 1
+        mine = wv_mu[w_next]
+        chosen = reduced.choice_reduced(worker(w_next), mine | (1 << f))
+        dropped = mine & ~chosen
+        if not chosen >> f & 1 or not dropped or dropped & (dropped - 1):
+            continue
+        f_next = dropped.bit_length() - 1
+        if (mine & ~wv_mut[w_next]) >> f_next & 1:
+            succ[(w, f)] = (w_next, f_next)
+    return succ
 
 
 def satisfies_cycle_conditions(reduced: ReducedProfile, pairs: tuple[Pair, ...]) -> bool:
@@ -113,39 +97,26 @@ def satisfies_cycle_conditions(reduced: ReducedProfile, pairs: tuple[Pair, ...])
 def find_cycles(reduced: ReducedProfile) -> list[Cycle]:
     """All cycles of the reduced profile, canonicalized and sorted.
 
-    Both arc maps of the digraph are functional, so every node lies on at most
-    one loop: walking successor pointers with path marking enumerates every
+    Each v1 pair has at most one successor, so every pair lies on at most one
+    loop of the successor map: walking it with path marking enumerates every
     elementary cycle exactly once. Each candidate is still re-verified against
-    the defining conditions before being emitted, as a guard on the digraph
+    the defining conditions before being emitted, as a guard on the map's
     construction. Nonempty exactly when mu differs from mu_tilde.
     """
-    g = build_digraph(reduced)
+    succ = _successors(reduced)
     done: set[Pair] = set()
     found: set[Cycle] = set()
-    for start in g.v1:
-        if start in done:
-            continue
-        path: list[Pair] = []
-        seen_at: dict[Pair, int] = {}
-        node = start
-        while True:
-            if node in done:
-                break
+    for node in succ:
+        seen_at: dict[Pair, int] = {}  # the path walked from this start, in order
+        while node is not None and node not in done:
             if node in seen_at:
-                pairs = tuple(path[seen_at[node]:])
+                pairs = tuple(seen_at)[seen_at[node]:]
                 if satisfies_cycle_conditions(reduced, pairs):
                     found.add(Cycle.from_pairs(pairs))
                 break
-            seen_at[node] = len(path)
-            path.append(node)
-            mid = g.arcs_12.get(node)
-            if mid is None:
-                break
-            nxt = g.arcs_21.get(mid)
-            if nxt is None:
-                break
-            node = nxt
-        done.update(path)
+            seen_at[node] = len(seen_at)
+            node = succ.get(node)
+        done.update(seen_at)
     return sorted(found, key=lambda c: c.pairs)
 
 

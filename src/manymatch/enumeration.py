@@ -72,7 +72,6 @@ class EnumerationTrace:
     mu_firm: Matching
     mu_worker: Matching
     steps: tuple[EnumerationStep, ...]
-    visited: frozenset[tuple[int, ...]]
 
 
 def stable_set(profile: Profile, validate: bool = True) -> tuple[list[Matching], EnumerationTrace]:
@@ -113,8 +112,7 @@ def stable_set(profile: Profile, validate: bool = True) -> tuple[list[Matching],
             queued.update(nxt)
             number += 1
     result = [found[k] for k in sorted(found)]
-    trace = EnumerationTrace(mu_f, mu_w, tuple(steps), frozenset(found))
-    return result, trace
+    return result, EnumerationTrace(mu_f, mu_w, tuple(steps))
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,13 @@ class MarketFormatError(ValueError):
     """Malformed or inconsistent market/matching JSON."""
 
 
+def _all_names(values: list) -> bool:
+    return all(isinstance(x, str) for x in values)
+
+
 def _names(obj: Any, key: str) -> list[str]:
     value = obj.get(key)
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+    if not isinstance(value, list) or not _all_names(value):
         raise MarketFormatError(f"'{key}' must be a list of strings")
     if len(set(value)) != len(value):
         raise MarketFormatError(f"duplicate names in '{key}'")
@@ -47,10 +51,15 @@ def parse_market(obj: Any) -> Profile:
             raise MarketFormatError(f"'{key}' mentions undeclared agents: {sorted(unknown)}")
         prefs = []
         for i, name in enumerate(owners):
+            entries = raw.get(name, [])
+            if not isinstance(entries, list):
+                raise MarketFormatError(f"{name}: the ranking must be a list of ranked sets")
             ranked = []
-            for entry in raw.get(name, []):
+            for entry in entries:
                 if not isinstance(entry, list) or not entry:
                     raise MarketFormatError(f"{name}: every ranked set must be a nonempty list")
+                if not _all_names(entry):
+                    raise MarketFormatError(f"{name}: ranked set members must be strings")
                 if len(set(entry)) != len(entry):
                     raise MarketFormatError(f"{name}: repeated member in {entry}")
                 try:
@@ -110,6 +119,8 @@ def parse_matching(obj: Any, profile: Profile) -> Matching:
             raise MarketFormatError(f"unknown firm {name!r} in assignment")
         if not isinstance(members, list):
             raise MarketFormatError(f"{name}: assigned workers must be a list")
+        if not _all_names(members):
+            raise MarketFormatError(f"{name}: assigned workers must be strings")
         if len(set(members)) != len(members):
             raise MarketFormatError(f"{name}: worker assigned twice")
         try:
@@ -121,6 +132,8 @@ def parse_matching(obj: Any, profile: Profile) -> Matching:
         stated = obj["unmatched"]
         if not isinstance(stated, list):
             raise MarketFormatError("'unmatched' must be a list")
+        if not _all_names(stated):
+            raise MarketFormatError("'unmatched' members must be strings")
         if sorted(stated) != sorted(_unmatched_names(m, profile)):
             raise MarketFormatError("'unmatched' is inconsistent with the assignment")
     return m

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from conftest import MARKETS_DIR
 from manymatch.cli import main
 
@@ -106,6 +108,66 @@ class TestEnumerate:
         assert len(json.loads(target.read_text())) == 4
 
 
+# The full `enumerate --trace` stderr and the `cycles --mu` result at every
+# stable matching of both shipped markets, in enumeration order.
+GOLDEN_TRACE = {
+    EX1: (
+        "step 1: mu_F = f1:w1w2 f2:w3w5 f3:w2w4\n"
+        "step 1: mu_W = f1:w3w4 f2:w2w5 f3:w1w2\n"
+        "step 2: expand f1:w1w2 f2:w3w5 f3:w2w4 | cycles: (w1,f1)(w4,f3); (w2,f1)(w3,f2)"
+        " | produced: f1:w2w4 f2:w3w5 f3:w1w2, f1:w1w3 f2:w2w5 f3:w2w4\n"
+        "step 3: expand f1:w1w3 f2:w2w5 f3:w2w4 | cycles: (w1,f1)(w4,f3)"
+        " | produced: f1:w3w4 f2:w2w5 f3:w1w2\n"
+        "step 3: expand f1:w2w4 f2:w3w5 f3:w1w2 | cycles: (w2,f1)(w3,f2)"
+        " | produced: f1:w3w4 f2:w2w5 f3:w1w2\n"
+    ),
+    EX2: (
+        "step 1: mu_F = f1:w1 f2:w2 f3:w4 f4:w3\n"
+        "step 1: mu_W = f1:w4 f2:w1 f3:w3 f4:w2\n"
+        "step 2: expand f1:w1 f2:w2 f3:w4 f4:w3 | cycles: (w1,f1)(w3,f4)(w2,f2)"
+        " | produced: f1:w3 f2:w1 f3:w4 f4:w2\n"
+        "step 3: expand f1:w3 f2:w1 f3:w4 f4:w2 | cycles: (w3,f1)(w4,f3)"
+        " | produced: f1:w4 f2:w1 f3:w3 f4:w2\n"
+    ),
+}
+GOLDEN_CYCLES = {
+    EX1: [
+        (
+            {"f1": ["w1", "w2"], "f2": ["w3", "w5"], "f3": ["w2", "w4"]},
+            [[["w1", "f1"], ["w4", "f3"]], [["w2", "f1"], ["w3", "f2"]]],
+        ),
+        ({"f1": ["w1", "w3"], "f2": ["w2", "w5"], "f3": ["w2", "w4"]}, [[["w1", "f1"], ["w4", "f3"]]]),
+        ({"f1": ["w2", "w4"], "f2": ["w3", "w5"], "f3": ["w1", "w2"]}, [[["w2", "f1"], ["w3", "f2"]]]),
+        ({"f1": ["w3", "w4"], "f2": ["w2", "w5"], "f3": ["w1", "w2"]}, []),
+    ],
+    EX2: [
+        (
+            {"f1": ["w1"], "f2": ["w2"], "f3": ["w4"], "f4": ["w3"]},
+            [[["w1", "f1"], ["w3", "f4"], ["w2", "f2"]]],
+        ),
+        ({"f1": ["w3"], "f2": ["w1"], "f3": ["w4"], "f4": ["w2"]}, [[["w3", "f1"], ["w4", "f3"]]]),
+        ({"f1": ["w4"], "f2": ["w1"], "f3": ["w3"], "f4": ["w2"]}, []),
+    ],
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("market", [EX1, EX2], ids=["example1", "example2"])
+    def test_enumerate_trace(self, capsys, market):
+        code, _, err = run(capsys, "enumerate", market, "--trace")
+        assert code == 0
+        assert err == GOLDEN_TRACE[market]
+
+    @pytest.mark.parametrize("market", [EX1, EX2], ids=["example1", "example2"])
+    def test_cycles_at_every_stable_matching(self, capsys, tmp_path, market):
+        stable = json.loads(run(capsys, "enumerate", market)[1])
+        assert [m["assignment"] for m in stable] == [a for a, _ in GOLDEN_CYCLES[market]]
+        for i, (m, (_, cycles)) in enumerate(zip(stable, GOLDEN_CYCLES[market])):
+            code, out, err = run(capsys, "cycles", market, "--mu", write(tmp_path, f"mu{i}.json", m))
+            assert (code, err) == (0, "")
+            assert out == json.dumps(cycles, indent=2) + "\n"
+
+
 class TestReduceAndCycles:
     def test_reduce_defaults_to_worker_optimal(self, capsys, tmp_path):
         mu = write(
@@ -201,6 +263,29 @@ class TestGen:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "firm_prefs, mu",
+        [
+            ({"f1": 5}, None),
+            ({"f1": None}, None),
+            ({"f1": [[["w1"]]]}, None),
+            (None, {"assignment": {"f1": [["w1"]]}}),
+            (None, {"assignment": {"f1": ["w1"]}, "unmatched": [1, "a"]}),
+        ],
+        ids=["ranking-int", "ranking-null", "member-list", "assigned-list", "unmatched-int"],
+    )
+    def test_wrong_json_types_exit_1(self, capsys, tmp_path, firm_prefs, mu):
+        market = json.loads((MARKETS_DIR / "example1.json").read_text())
+        if firm_prefs is not None:
+            market["firm_prefs"] = firm_prefs
+        argv = ["enumerate", write(tmp_path, "market.json", market)]
+        if mu is not None:
+            argv = ["cycles", argv[1], "--mu", write(tmp_path, "mu.json", mu)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "enumerate", "/nonexistent.json")
         assert code == 1 and "error" in err

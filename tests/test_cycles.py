@@ -1,4 +1,4 @@
-"""Digraph construction, cycle enumeration, and cyclic matchings."""
+"""The successor map on v1, cycle enumeration, and cyclic matchings."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ from manymatch import (
     Cycle,
     GenConfig,
     Side,
+    bit_indices,
     brute_force_stable_set,
-    build_digraph,
     cyclic_matching,
     deferred_acceptance,
     find_cycles,
@@ -20,7 +20,7 @@ from manymatch import (
     stability,
     unanimous_blair_geq,
 )
-from manymatch.cycles import satisfies_cycle_conditions
+from manymatch.cycles import _successors, satisfies_cycle_conditions
 
 markets = st.builds(
     lambda nf, nw, q, prob, seed: random_market(GenConfig(nf, nw, q, prob, seed)),
@@ -33,38 +33,45 @@ markets = st.builds(
 
 
 class TestDigraph:
+    """The successor map: the functional digraph on v1 whose loops are the cycles."""
+
     def test_example1_first_node_set(self, ex1):
         reduced = reduce_profile(ex1.profile, ex1.mu_f, ex1.mu_w)
-        g = build_digraph(reduced)
-        # Matched under mu_F but not mu_W; w5 and the f3-w2 partnership persist.
-        assert g.v1 == ((0, 0), (1, 0), (2, 1), (3, 2))
-        assert set(g.v2) == {
-            (f, w) for f in range(3) for w in range(6) if (w, f) not in set(g.v1)
-        }
+        succ = _successors(reduced)
+        # Matched under mu_F but not mu_W, in sorted order; w5 and the f3-w2
+        # partnership persist. Each pair points at the next pair of its cycle.
+        assert list(succ) == [(0, 0), (1, 0), (2, 1), (3, 2)]
+        expected = {}
+        for cycle in (golden.EX1_SIGMA1, golden.EX1_SIGMA2):
+            for i, node in enumerate(cycle):
+                expected[node] = cycle[(i + 1) % len(cycle)]
+        assert succ == expected
 
     def test_example1_arc_goes_to_w4_not_w2(self, ex1):
-        # Losing w1, f1's best fallback set picks up w4.
+        # Losing w1, f1's best fallback set picks up w4, who drops f3 for it.
         reduced = reduce_profile(ex1.profile, ex1.mu_f, ex1.mu_w)
-        g = build_digraph(reduced)
-        assert g.arcs_12[(0, 0)] == (0, 3)
+        assert _successors(reduced)[(0, 0)] == (3, 2)
 
     def test_equal_matchings_give_empty_v1(self, ex1):
         reduced = reduce_profile(ex1.profile, ex1.mu_w, ex1.mu_w)
-        g = build_digraph(reduced)
-        assert g.v1 == ()
-        assert g.arcs_12 == {}
+        assert _successors(reduced) == {}
 
     @settings(max_examples=30, deadline=None)
     @given(profile=markets)
     def test_v1_nodes_always_have_a_successor(self, profile):
-        # With both axioms, the defining equations pin exactly one arc per
-        # matched-here-not-there pair.
+        # With both axioms, the defining equations pin exactly one successor
+        # per matched-here-not-there pair, and it is such a pair itself.
         stable = brute_force_stable_set(profile)
         mu_w = deferred_acceptance(profile, Side.WORKER)[0]
         for mu in stable:
-            g = build_digraph(reduce_profile(profile, mu, mu_w))
-            for node in g.v1:
-                assert node in g.arcs_12
+            succ = _successors(reduce_profile(profile, mu, mu_w))
+            v1 = sorted(
+                (w, f)
+                for f in range(profile.n_firms)
+                for w in bit_indices(mu.assign[f] & ~mu_w.assign[f])
+            )
+            assert list(succ) == v1
+            assert set(succ.values()) <= set(v1)
 
 
 class TestFindCycles:
