@@ -43,8 +43,11 @@ def _load_json(path: str) -> Any:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise MarketFormatError(f"cannot write {out}: {e.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -190,10 +190,12 @@ def _choice_table(profile: Profile, agent: AgentId, cap: int) -> list[int]:
     A choice only depends on `pool & acceptable`, so the table covers the
     2^k subsets of the k acceptable partners, renumbered to bits 0..k-1 in
     ascending order (a no-op when they already are the low bits). The axiom
-    checks read it in that compressed space, and the cap bounds k. Built by
-    a direct scan, not through `choice()`, so that the one-off table does not
-    fill the list's cache.
+    checks read it in that compressed space, and the cap, which must not be
+    negative, bounds k. Built by a direct scan, not through `choice()`, so
+    that the one-off table does not fill the list's cache.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
     pref = profile.pref(agent)
     acceptable = pref.acceptable
     k = acceptable.bit_count()

@@ -1,11 +1,10 @@
-"""Matchings, stability reports, the brute-force oracle, and matching comparisons."""
+"""Matchings, stability reports, the exhaustive-search oracle, and matching comparisons."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     AgentId,
@@ -67,67 +66,47 @@ class StabilityReport:
         return not self.irrational_agents and not self.blocking_pairs
 
 
+def _irrational(profile: Profile, agent: AgentId, held: int) -> bool:
+    """True when the agent would drop part of what it holds."""
+    return choice(profile, agent, held) != held
+
+
+def _blocking_pairs(
+    profile: Profile, assign: Sequence[int], views: Sequence[int], workers: Iterable[int]
+) -> Iterator[tuple[int, int]]:
+    """Each blocking pair (f, w) for w in `workers`, f ascending: w accepts f,
+    f is not in `views[w]`, f would add w to `assign[f]`, and w would add f.
+    Only firms that rank w can add it, so only their `assign` entries
+    matter."""
+    for w in workers:
+        theirs, wbit = views[w], 1 << w
+        for f in bit_indices(profile.worker_prefs[w].acceptable & ~theirs):
+            if not choice(profile, firm(f), assign[f] | wbit) & wbit:
+                continue
+            if choice(profile, worker(w), theirs | 1 << f) >> f & 1:
+                yield f, w
+
+
 def stability(profile: Profile, m: Matching) -> StabilityReport:
-    """Full stability diagnosis of `m` under `profile`.
-
-    An agent is irrational when it would drop part of its own match. A pair
-    (f, w) blocks when w is not matched to f, f would take w alongside its
-    match, and w would take f alongside its match. Exhaustive, deterministic
-    ordering: firms before workers, pairs by (firm, worker). A firm never
-    takes a worker outside its ranked sets, so the pair scan visits only the
-    workers each firm finds acceptable.
-    """
-    irrational: list[AgentId] = []
-    for f in range(profile.n_firms):
-        if choice(profile, firm(f), m.assign[f]) != m.assign[f]:
-            irrational.append(firm(f))
+    """Full stability diagnosis of `m` under `profile`: every irrational
+    agent, firms before workers, and every blocking pair in (firm, worker)
+    order."""
     views = m.worker_view()
-    for w in range(profile.n_workers):
-        if choice(profile, worker(w), views[w]) != views[w]:
-            irrational.append(worker(w))
-
-    blocking: list[tuple[int, int]] = []
-    for f in range(profile.n_firms):
-        mine = m.assign[f]
-        for w in bit_indices(profile.firm_prefs[f].acceptable & ~mine):
-            wbit = 1 << w
-            if not choice(profile, firm(f), mine | wbit) & wbit:
-                continue
-            if choice(profile, worker(w), views[w] | (1 << f)) >> f & 1:
-                blocking.append((f, w))
-    return StabilityReport(tuple(irrational), tuple(blocking))
-
-
-def _is_stable_assign(profile: Profile, assign: Sequence[int]) -> bool:
-    """Early-exit stability test for candidates whose firm side is already
-    known individually rational."""
-    views = [0] * profile.n_workers
-    for f, ws in enumerate(assign):
-        for w in bit_indices(ws):
-            views[w] |= 1 << f
-    for w in range(profile.n_workers):
-        if choice(profile, worker(w), views[w]) != views[w]:
-            return False
-    for f in range(profile.n_firms):
-        mine = assign[f]
-        for w in range(profile.n_workers):
-            wbit = 1 << w
-            if mine & wbit:
-                continue
-            if not choice(profile, firm(f), mine | wbit) & wbit:
-                continue
-            if choice(profile, worker(w), views[w] | (1 << f)) >> f & 1:
-                return False
-    return True
+    irrational = [firm(f) for f, held in enumerate(m.assign) if _irrational(profile, firm(f), held)]
+    irrational += [worker(w) for w, held in enumerate(views) if _irrational(profile, worker(w), held)]
+    pairs = _blocking_pairs(profile, m.assign, views, range(profile.n_workers))
+    return StabilityReport(tuple(irrational), tuple(sorted(pairs)))
 
 
 def brute_force_stable_set(profile: Profile, cap: int = 10_000_000) -> list[Matching]:
-    """Exact stable set by enumeration, the oracle the algorithms are tested
-    against.
+    """Exact stable set by a search that assumes neither axiom, the oracle the
+    algorithms are tested against.
 
-    Each firm ranges over its acceptable sets plus the empty set; any stable
-    matching is individually rational, so restricting further to the sets the
-    firm would keep as-is prunes without losing anything. Returns matchings
+    Firms are assigned in index order, each to the empty set or to a ranked
+    set it would keep as is. Once the last firm that ranks a worker has been
+    assigned, the worker's match and every firm it could block with are
+    final, so a branch ends at the first such worker that objects. `cap`
+    bounds the product of the firms' list lengths plus one. Returns matchings
     sorted by their firm-side masks.
     """
     total = 1
@@ -135,16 +114,37 @@ def brute_force_stable_set(profile: Profile, cap: int = 10_000_000) -> list[Matc
         total *= len(pref.ranked) + 1
         if total > cap:
             raise CapExceeded(f"more than {cap} candidate matchings")
-    options = []
-    for f in range(profile.n_firms):
-        fixed = [e for e in profile.firm_prefs[f].ranked if choice(profile, firm(f), e) == e]
-        options.append([0] + fixed)
-    out = []
-    for combo in itertools.product(*options):
-        if _is_stable_assign(profile, combo):
-            out.append(Matching(combo, profile.n_workers))
-    out.sort(key=lambda m: m.assign)
-    return out
+    options = [
+        [0] + [e for e in pref.ranked if not _irrational(profile, firm(f), e)]
+        for f, pref in enumerate(profile.firm_prefs)
+    ]
+    settles, later = [], 0  # per firm: the workers no later firm ranks
+    for pref in reversed(profile.firm_prefs):
+        settles.append(list(bit_indices(pref.acceptable & ~later)))
+        later |= pref.acceptable
+    settles.reverse()
+    assign, views, out = [0] * profile.n_firms, [0] * profile.n_workers, []
+
+    def extend(f: int) -> None:
+        if f == profile.n_firms:
+            out.append(Matching(tuple(assign), profile.n_workers))
+            return
+        for e in options[f]:
+            assign[f] = e
+            for w in bit_indices(e):
+                views[w] |= 1 << f
+            for w in settles[f]:
+                if _irrational(profile, worker(w), views[w]):
+                    break
+                if any(_blocking_pairs(profile, assign, views, (w,))):
+                    break
+            else:  # no settled worker objects
+                extend(f + 1)
+            for w in bit_indices(e):
+                views[w] &= ~(1 << f)
+
+    extend(0)
+    return sorted(out, key=lambda m: m.assign)
 
 
 def unanimous_blair_geq(profile: Profile, m1: Matching, m2: Matching, side: Side) -> bool:

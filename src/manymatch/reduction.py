@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .core import AgentId, Profile, Side, bit_indices, choice, firm, full_mask, worker
 from .da import deferred_acceptance
-from .matching import Matching, stability, unanimous_blair_geq
+from .matching import Matching, StabilityReport, stability, unanimous_blair_geq
 
 
 class NotStable(Exception):
@@ -94,6 +94,17 @@ def _step12_banned(profile: Profile, agent: AgentId, top: int, bot: int) -> int:
     return banned
 
 
+def _describe(profile: Profile, report: StabilityReport) -> str:
+    """The report's objections in the market's agent names."""
+    parts = []
+    if report.irrational_agents:
+        parts.append("irrational " + ", ".join(profile.name(a) for a in report.irrational_agents))
+    if report.blocking_pairs:
+        pairs = (f"({profile.firm_names[f]},{profile.worker_names[w]})" for f, w in report.blocking_pairs)
+        parts.append("blocking " + ", ".join(pairs))
+    return "; ".join(parts)
+
+
 def reduce_profile(profile: Profile, mu: Matching, mu_tilde: Matching) -> ReducedProfile:
     """Reduce `profile` to the band between stable matchings mu >=_F mu_tilde.
 
@@ -110,7 +121,7 @@ def reduce_profile(profile: Profile, mu: Matching, mu_tilde: Matching) -> Reduce
     for name, m in (("mu", mu), ("mu_tilde", mu_tilde)):
         report = stability(profile, m)
         if not report.stable:
-            raise NotStable(f"{name} is not stable: {report}")
+            raise NotStable(f"{name} is not stable: {_describe(profile, report)}")
     if not unanimous_blair_geq(profile, mu, mu_tilde, Side.FIRM):
         raise NotComparable("mu does not unanimously Blair-dominate mu_tilde for the firms")
 

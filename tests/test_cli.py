@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 
 import pytest
 
@@ -67,6 +69,10 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", market, "--cap", "13")
         assert code == 0
         assert out.count("substitutable=yes lad=yes") == 16
+
+    def test_negative_cap_is_malformed_input(self, capsys):
+        code, out, err = run(capsys, "validate", EX1, "--cap", "-1")
+        assert (code, out, err) == (1, "", "error: cap must be non-negative, got -1\n")
 
 
 class TestDa:
@@ -213,6 +219,17 @@ class TestReduceAndCycles:
         assert code == 1
         assert "not stable" in err
 
+    @pytest.mark.parametrize("command", ["cycles", "reduce"])
+    def test_unstable_mu_is_reported_by_name(self, capsys, tmp_path, command):
+        # w1 holds f1 and f2 but accepts each only alone.
+        mu = write(tmp_path, "mu.json", {"assignment": {"f1": ["w1"], "f2": ["w1"]}})
+        code, out, err = run(capsys, command, EX1, "--mu", mu)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: mu is not stable: irrational w1; blocking (f1,w2), (f1,w3), (f1,w4),"
+            " (f2,w2), (f2,w3), (f2,w5), (f3,w1), (f3,w2), (f3,w4)\n"
+        )
+
 
 class TestComparisonCommands:
     def test_oracle_counts(self, capsys):
@@ -285,6 +302,16 @@ class TestErrorPaths:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv", [["enumerate", EX1], ["gen", "--firms", "2", "--workers", "2"]], ids=["enumerate", "gen"]
+    )
+    def test_unwritable_out_exits_1(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {target}: {os.strerror(errno.ENOENT)}\n"
+        assert not target.parent.exists()
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "enumerate", "/nonexistent.json")

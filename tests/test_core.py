@@ -150,6 +150,11 @@ class TestSubstitutability:
             is_substitutable(profile, firm(0))
         assert is_substitutable(profile, firm(0), cap=13)
 
+    def test_negative_cap_is_rejected(self):
+        # Even an agent that accepts no one: a negative cap is malformed.
+        with pytest.raises(ValueError, match="non-negative"):
+            is_substitutable(small_profile(""), firm(0), cap=-1)
+
     @settings(max_examples=150)
     @given(ranked=ranked_lists)
     def test_matches_definition(self, ranked):

@@ -173,7 +173,7 @@ class TestWideMarkets:
         truncation, _ = mms_algorithm(profile, validate=False)
         assert {m.assign for m in truncation} <= set(expected)
 
-    def test_side_wider_than_the_check_cap(self, tmp_path):
+    def test_side_wider_than_the_check_cap(self, tmp_path, capsys):
         # 7 one-to-one swap blocks: 14 agents a side, more than the cap, but
         # each agent ranks 2 singletons, so validation covers 2^2 pools.
         profile, expected = wide_block_market(3, n_blocks=7, size=2, quota=1)
@@ -191,6 +191,11 @@ class TestWideMarkets:
         market.write_text(dumps(market_to_obj(profile)))
         assert main(["enumerate", str(market), "--out", str(out)]) == 0
         assert len(json.loads(out.read_text())) == 128
+        # The oracle checks each worker once its 2 ranking firms are assigned,
+        # so it never walks all 3^14 firm assignments.
+        assert [m.assign for m in brute_force_stable_set(profile)] == expected
+        assert main(["compare", str(market)]) == 0
+        assert json.loads(capsys.readouterr().out)["cycle_enumeration_matches_oracle"] is True
 
 
 class TestTruncationAlgorithm:

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import build_matching, build_profile, entries
 from manymatch import (
     CapExceeded,
     GenConfig,
     Matching,
+    Preference,
+    Profile,
     Side,
     brute_force_stable_set,
     firm,
@@ -146,3 +151,74 @@ def test_every_generated_stable_matching_is_individually_rational():
         for m in brute_force_stable_set(profile):
             report = stability(profile, m)
             assert report.individually_rational and report.stable
+
+
+# Reference checks on arbitrary ranked lists, which are mostly neither
+# substitutable nor LAD: the library's stability routine and oracle must
+# match the definition whatever the preferences.
+
+
+def _choose(ranked: tuple[int, ...], pool: int) -> int:
+    """The first ranked set inside `pool`, or the empty set."""
+    return next((e for e in ranked if e & pool == e), 0)
+
+
+def _textbook_diagnosis(profile: Profile, assign: tuple[int, ...]):
+    """Every irrational agent (firms, then workers) and every blocking
+    firm x worker pair, straight from the definition."""
+    firms, workers = range(profile.n_firms), range(profile.n_workers)
+    held = [sum(1 << f for f in firms if assign[f] >> w & 1) for w in workers]
+    irrational = [firm(f) for f in firms if _choose(profile.firm_prefs[f].ranked, assign[f]) != assign[f]]
+    irrational += [worker(w) for w in workers if _choose(profile.worker_prefs[w].ranked, held[w]) != held[w]]
+    blocking = [
+        (f, w)
+        for f in firms
+        for w in workers
+        if not assign[f] >> w & 1
+        and _choose(profile.firm_prefs[f].ranked, assign[f] | 1 << w) >> w & 1
+        and _choose(profile.worker_prefs[w].ranked, held[w] | 1 << f) >> f & 1
+    ]
+    return tuple(irrational), tuple(blocking)
+
+
+def _ranked_lists(width: int):
+    if not width:
+        return st.just(())
+    return st.lists(st.integers(1, (1 << width) - 1), unique=True, max_size=(1 << width) - 1).map(tuple)
+
+
+@st.composite
+def small_markets(draw) -> Profile:
+    """Up to 3x3, each agent ranking any distinct nonempty sets in any order."""
+    n_firms, n_workers = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return Profile(
+        n_firms,
+        n_workers,
+        tuple(Preference(firm(f), draw(_ranked_lists(n_workers))) for f in range(n_firms)),
+        tuple(Preference(worker(w), draw(_ranked_lists(n_firms))) for w in range(n_workers)),
+    )
+
+
+class TestAgainstTheDefinition:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_stability_is_the_textbook_diagnosis(self, data):
+        profile = data.draw(small_markets())
+        assign = tuple(data.draw(st.integers(0, (1 << profile.n_workers) - 1)) for _ in range(profile.n_firms))
+        report = stability(profile, Matching(assign, profile.n_workers))
+        assert (report.irrational_agents, report.blocking_pairs) == _textbook_diagnosis(profile, assign)
+
+    @settings(max_examples=300, deadline=None)
+    @given(profile=small_markets())
+    def test_oracle_is_the_filtered_product(self, profile):
+        # Each firm's options as the oracle takes them: the empty set or a
+        # ranked set it would keep as is.
+        options = [
+            [0] + [e for e in p.ranked if _choose(p.ranked, e) == e] for p in profile.firm_prefs
+        ]
+        stable = [
+            Matching(assign, profile.n_workers)
+            for assign in itertools.product(*options)
+            if _textbook_diagnosis(profile, assign) == ((), ())
+        ]
+        assert brute_force_stable_set(profile) == sorted(stable, key=lambda m: m.assign)
