@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Any
 
-from .core import DEFAULT_CHECK_CAP, CapExceeded, Side, bit_indices, is_substitutable, satisfies_lad
+from .core import DEFAULT_CHECK_CAP, CapExceeded, Side, _axiom_verdicts, bit_indices
 from .da import deferred_acceptance
 from .enumeration import AxiomViolation, compare_algorithms, mms_algorithm, stable_set
 from .gen import GenConfig, random_market
@@ -64,10 +64,7 @@ def _cmd_validate(args) -> int:
     profile = parse_market(_load_json(args.market))
     # Every check runs before the first line is printed, so an agent past the
     # cap ends the command with no partial report on stdout.
-    verdicts = [
-        (profile.name(a), is_substitutable(profile, a, args.cap), satisfies_lad(profile, a, args.cap))
-        for a in profile.agents()
-    ]
+    verdicts = [(profile.name(a), *_axiom_verdicts(profile, a, args.cap)) for a in profile.agents()]
     failures = []
     for name, sub, lad in verdicts:
         print(f"{name}: substitutable={'yes' if sub else 'NO'} lad={'yes' if lad else 'NO'}")

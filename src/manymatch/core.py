@@ -13,7 +13,7 @@ from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
 MAX_SIDE = 64
-DEFAULT_CHECK_CAP = 12  # exhaustive axiom checks enumerate 2^|acceptable partners| pools
+DEFAULT_CHECK_CAP = 12  # axiom checks tabulate 2^|acceptable partners| pools, drop chosen ones
 
 
 class CapExceeded(Exception):
@@ -214,40 +214,47 @@ def _choice_table(profile: Profile, agent: AgentId, cap: int) -> list[int]:
     return table
 
 
+def _axiom_verdicts(profile: Profile, agent: AgentId, cap: int) -> tuple[bool, bool]:
+    """(substitutable, satisfies LAD) from one pass over one choice table,
+    removing from each pool only the partners chosen from it."""
+    table = _choice_table(profile, agent, cap)
+    substitutable = lad = True
+    for pool, chosen in enumerate(table):
+        size = chosen.bit_count()
+        rest = chosen
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            shrunk = table[pool ^ bit]  # the choice once this chosen partner leaves
+            substitutable &= not chosen & ~bit & ~shrunk
+            lad &= shrunk.bit_count() <= size
+        if not (substitutable or lad):
+            break
+    return substitutable, lad
+
+
 def is_substitutable(profile: Profile, agent: AgentId, cap: int = DEFAULT_CHECK_CAP) -> bool:
     """Exhaustive substitutability check.
 
     A chosen partner must stay chosen when other partners leave the pool.
     Checked in the equivalent one-removal form (choice(S) minus x is contained
     in choice(S minus x) for every S and x), which chains down to the general
-    subset form.
+    subset form. Removing a partner that was not chosen leaves a ranked-list
+    choice unchanged, so only the chosen partners x are tried.
     """
-    table = _choice_table(profile, agent, cap)
-    for avail in range(len(table)):
-        chosen = table[avail]
-        for x in bit_indices(avail):
-            bit = 1 << x
-            if chosen & ~bit & ~table[avail & ~bit]:
-                return False
-    return True
+    return _axiom_verdicts(profile, agent, cap)[0]
 
 
 def satisfies_lad(profile: Profile, agent: AgentId, cap: int = DEFAULT_CHECK_CAP) -> bool:
     """Law of aggregate demand: choice size is monotone in the pool.
 
-    Checked in single-addition form (adding one available partner never
-    shrinks the choice), equivalent to the subset form by chaining along any
-    inclusion chain and exponentially cheaper.
+    Checked in one-removal form (removing one partner from a pool never grows
+    the choice), equivalent to the subset form by chaining along any
+    inclusion chain and exponentially cheaper. Removing a partner that was
+    not chosen leaves a ranked-list choice unchanged, so only the chosen
+    partners are tried.
     """
-    table = _choice_table(profile, agent, cap)
-    k = len(table).bit_length() - 1  # the table covers 2^k pools
-    for avail in range(len(table)):
-        size = table[avail].bit_count()
-        for x in range(k):
-            bit = 1 << x
-            if not avail & bit and table[avail | bit].bit_count() < size:
-                return False
-    return True
+    return _axiom_verdicts(profile, agent, cap)[1]
 
 
 def check_eq1(profile: Profile, agent: AgentId, cap: int = DEFAULT_CHECK_CAP) -> bool:

@@ -19,10 +19,9 @@ from .core import (
     DEFAULT_CHECK_CAP,
     Profile,
     Side,
+    _axiom_verdicts,
     bit_indices,
     choice,
-    is_substitutable,
-    satisfies_lad,
     worker,
 )
 from .cycles import Cycle, cyclic_matching, find_cycles
@@ -46,9 +45,10 @@ def validate_profile(profile: Profile, cap: int = DEFAULT_CHECK_CAP) -> None:
     depends on both axioms, and failing fast beats returning a wrong set.
     """
     for agent in profile.agents():
-        if not is_substitutable(profile, agent, cap):
+        substitutable, lad = _axiom_verdicts(profile, agent, cap)
+        if not substitutable:
             raise AxiomViolation(agent, "substitutability")
-        if not satisfies_lad(profile, agent, cap):
+        if not lad:
             raise AxiomViolation(agent, "law of aggregate demand")
 
 

@@ -44,11 +44,6 @@ class Matching:
         (computed once per matching)."""
         return self._worker_view
 
-    def agent_mask(self, agent: AgentId) -> int:
-        if agent.side is Side.FIRM:
-            return self.assign[agent.index]
-        return self.worker_view()[agent.index]
-
 
 @dataclass(frozen=True)
 class StabilityReport:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build_profile, entries
 from manymatch import (
+    AxiomViolation,
     CapExceeded,
     GenConfig,
     Preference,
@@ -24,8 +25,10 @@ from manymatch import (
     random_market,
     satisfies_lad,
     truncate,
+    validate_profile,
     worker,
 )
+from manymatch.core import _choice_table
 
 W = full_mask(6)
 
@@ -214,6 +217,113 @@ class TestLad:
                     break
                 sub = (sub - 1) & pool
         assert satisfies_lad(profile, firm(0)) == subset_form
+
+
+def _substitutable_every_removal(table: list[int]) -> bool:
+    """Reference: one-removal form over every partner in every pool."""
+    for avail in range(len(table)):
+        chosen = table[avail]
+        for x in bit_indices(avail):
+            bit = 1 << x
+            if chosen & ~bit & ~table[avail & ~bit]:
+                return False
+    return True
+
+
+def _lad_every_addition(table: list[int]) -> bool:
+    """Reference: single-addition form over every partner outside every pool."""
+    k = len(table).bit_length() - 1
+    for avail in range(len(table)):
+        size = table[avail].bit_count()
+        for x in range(k):
+            bit = 1 << x
+            if not avail & bit and table[avail | bit].bit_count() < size:
+                return False
+    return True
+
+
+def _assert_matches_references(profile: Profile, agent) -> None:
+    table = _choice_table(profile, agent, 12)
+    assert is_substitutable(profile, agent) == _substitutable_every_removal(table)
+    assert satisfies_lad(profile, agent) == _lad_every_addition(table)
+
+
+# Generated markets with one agent's list optionally disturbed by moving one
+# entry to the front, which can break either axiom or both.
+market_lists = st.tuples(
+    st.integers(1, 3),
+    st.integers(1, 10),
+    st.integers(1, 10),
+    st.floats(0.3, 1.0),
+    st.integers(0, 10_000),
+    st.none() | st.integers(0, 1_000),
+)
+
+
+class TestChosenPartnersOnly:
+    """The checks remove only chosen partners; the references try every
+    partner, so any pair they need and the checks skip shows up here."""
+
+    @settings(max_examples=300)
+    @given(ranked=st.lists(st.integers(1, (1 << 6) - 1), unique=True, max_size=14).map(tuple))
+    def test_arbitrary_lists_of_six_partners(self, ranked):
+        # Most of these fail substitutability, so LAD is compared on its own.
+        _assert_matches_references(lists_profile(ranked, width=6), firm(0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=market_lists)
+    def test_generated_market_lists(self, params):
+        quota, n_firms, n_workers, prob, seed, promote = params
+        profile = random_market(GenConfig(n_firms, n_workers, quota, prob, seed))
+        ranked = list(profile.firm_prefs[0].ranked)
+        if promote is not None and ranked:
+            ranked.insert(0, ranked.pop(promote % len(ranked)))
+        profile = replace(profile, firm_prefs=(Preference(firm(0), tuple(ranked)),) + profile.firm_prefs[1:])
+        for agent in profile.agents():
+            _assert_matches_references(profile, agent)
+
+    def test_list_failing_both_axioms(self):
+        # Removing w1 from {w1,w2,w3} grows the choice to {w2,w3} (LAD), and
+        # removing w2 from {w2,w3} drops w3, since {w3} is not listed.
+        profile = small_profile("w1,w2w3")
+        assert not is_substitutable(profile, firm(0))
+        assert not satisfies_lad(profile, firm(0))
+
+
+def _first_violation(profile: Profile):
+    """The (agent, axiom) that validation must report, from the two checks."""
+    for agent in profile.agents():
+        if not is_substitutable(profile, agent):
+            return agent, "substitutability"
+        if not satisfies_lad(profile, agent):
+            return agent, "law of aggregate demand"
+    return None
+
+
+def _validation_outcome(profile: Profile):
+    try:
+        validate_profile(profile)
+    except AxiomViolation as err:
+        return err.agent, err.axiom
+    return None
+
+
+class TestValidateProfile:
+    def test_substitutability_is_reported_before_lad(self):
+        # f1 passes, f2 fails both axioms, f3 fails LAD only.
+        profile = small_profile("w1w2,w1,w2", "w1,w2w3", "w1,w2w3,w2,w3")
+        assert _validation_outcome(profile) == (firm(1), "substitutability") == _first_violation(profile)
+
+    @settings(max_examples=150)
+    @given(rows=st.lists(ranked_lists, min_size=1, max_size=3))
+    def test_matches_the_checks_agent_by_agent(self, rows):
+        profile = Profile(
+            len(rows),
+            4,
+            tuple(Preference(firm(i), r) for i, r in enumerate(rows)),
+            tuple(Preference(worker(i), ()) for i in range(4)),
+        )
+        assert _validation_outcome(profile) == _first_violation(profile)
 
 
 class TestBlair:
