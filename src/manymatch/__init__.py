@@ -16,14 +16,12 @@ from .core import (
     Side,
     bit_indices,
     blair_geq,
-    check_eq1,
     choice,
     firm,
     full_mask,
     is_substitutable,
     mask_of,
     satisfies_lad,
-    truncate,
     worker,
 )
 from .cycles import Cycle, cyclic_matching, find_cycles

@@ -39,6 +39,8 @@ def _load_json(path: str) -> Any:
         raise MarketFormatError(f"cannot read {path}: {e.strerror}") from None
     except json.JSONDecodeError as e:
         raise MarketFormatError(f"{path} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise MarketFormatError(f"{path} is nested too deeply") from None
 
 
 def _emit(text: str, out: str | None) -> None:

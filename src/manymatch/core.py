@@ -175,13 +175,16 @@ def choice(profile: Profile, agent: AgentId, available: int) -> int:
     cache = pref._choice_cache
     got = cache.get(pool)
     if got is None:
-        got = 0
-        for entry in pref.ranked:
-            if entry & pool == entry:
-                got = entry
-                break
-        cache[pool] = got
+        got = cache[pool] = _first_fit(pref.ranked, pool)
     return got
+
+
+def _first_fit(ranked: tuple[int, ...], pool: int) -> int:
+    """The first ranked set contained in `pool`, or 0 when none fits."""
+    for entry in ranked:
+        if entry & pool == entry:
+            return entry
+    return 0
 
 
 def _choice_table(profile: Profile, agent: AgentId, cap: int) -> list[int]:
@@ -191,7 +194,7 @@ def _choice_table(profile: Profile, agent: AgentId, cap: int) -> list[int]:
     2^k subsets of the k acceptable partners, renumbered to bits 0..k-1 in
     ascending order (a no-op when they already are the low bits). The axiom
     checks read it in that compressed space, and the cap, which must not be
-    negative, bounds k. Built by a direct scan, not through `choice()`, so
+    negative, bounds k. Built with `_first_fit`, not through `choice()`, so
     that the one-off table does not fill the list's cache.
     """
     if cap < 0:
@@ -205,13 +208,7 @@ def _choice_table(profile: Profile, agent: AgentId, cap: int) -> list[int]:
     if acceptable & (acceptable + 1):  # not the low k bits: renumber them
         position = {b: i for i, b in enumerate(bit_indices(acceptable))}
         ranked = tuple(mask_of(position[b] for b in bit_indices(e)) for e in ranked)
-    table = [0] * (1 << k)
-    for avail in range(1 << k):
-        for entry in ranked:
-            if entry & avail == entry:
-                table[avail] = entry
-                break
-    return table
+    return [_first_fit(ranked, avail) for avail in range(1 << k)]
 
 
 def _axiom_verdicts(profile: Profile, agent: AgentId, cap: int) -> tuple[bool, bool]:
@@ -257,21 +254,6 @@ def satisfies_lad(profile: Profile, agent: AgentId, cap: int = DEFAULT_CHECK_CAP
     return _axiom_verdicts(profile, agent, cap)[1]
 
 
-def check_eq1(profile: Profile, agent: AgentId, cap: int = DEFAULT_CHECK_CAP) -> bool:
-    """Diagnostic identity: choice(S | S') == choice(choice(S) | S') for all pairs.
-
-    Holds whenever the agent is substitutable. Quadratic in the subset
-    lattice of the acceptable partners, so keep that set small.
-    """
-    table = _choice_table(profile, agent, cap)
-    for s in range(len(table)):
-        cs = table[s]
-        for s2 in range(len(table)):
-            if table[s | s2] != table[cs | s2]:
-                return False
-    return True
-
-
 def blair_geq(profile: Profile, agent: AgentId, s1: int, s2: int) -> bool:
     """Blair order: s1 >= s2 when the agent offered both pools keeps exactly s1.
 
@@ -279,10 +261,3 @@ def blair_geq(profile: Profile, agent: AgentId, s1: int, s2: int) -> bool:
     be false.
     """
     return choice(profile, agent, s1 | s2) == s1
-
-
-def truncate(pref: Preference, banned: AgentId) -> Preference:
-    """Drop every ranked set containing `banned`, keeping the rest in order."""
-    if banned.side is pref.owner.side:
-        raise ValueError("can only truncate at an agent of the opposite side")
-    return pref.without(1 << banned.index)

@@ -12,7 +12,6 @@ the same kind of successor function.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .core import bit_indices, firm, full_mask, worker
@@ -105,14 +104,14 @@ def find_cycles(reduced: ReducedProfile) -> list[Cycle]:
     """
     succ = _successors(reduced)
     done: set[Pair] = set()
-    found: set[Cycle] = set()
+    found: list[Cycle] = []
     for node in succ:
         seen_at: dict[Pair, int] = {}  # the path walked from this start, in order
         while node is not None and node not in done:
             if node in seen_at:
                 pairs = tuple(seen_at)[seen_at[node]:]
                 if satisfies_cycle_conditions(reduced, pairs):
-                    found.add(Cycle.from_pairs(pairs))
+                    found.append(Cycle.from_pairs(pairs))
                 break
             seen_at[node] = len(seen_at)
             node = succ.get(node)
@@ -128,13 +127,10 @@ def cyclic_matching(mu: Matching, cycle: Cycle) -> Matching:
     one-pair cycle swaps a worker for itself and returns `mu` unchanged (such
     input never passes cycle verification).
     """
-    removes: dict[int, int] = defaultdict(int)
-    adds: dict[int, int] = defaultdict(int)
-    r = len(cycle.pairs)
-    for i, (w, f) in enumerate(cycle.pairs):
-        removes[f] |= 1 << w
-        adds[f] |= 1 << cycle.pairs[(i + 1) % r][0]
     assign = list(mu.assign)
-    for f, mask in removes.items():
-        assign[f] = (assign[f] & ~mask) | adds[f]
+    for w, f in cycle.pairs:
+        assign[f] &= ~(1 << w)
+    r = len(cycle.pairs)
+    for i, (_, f) in enumerate(cycle.pairs):
+        assign[f] |= 1 << cycle.pairs[(i + 1) % r][0]
     return Matching(tuple(assign), mu.n_workers)

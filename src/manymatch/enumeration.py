@@ -89,28 +89,21 @@ def stable_set(profile: Profile, validate: bool = True) -> tuple[list[Matching],
     mu_w, _ = deferred_acceptance(profile, Side.WORKER)
     found: dict[tuple[int, ...], Matching] = {mu_f.assign: mu_f, mu_w.assign: mu_w}
     steps: list[EnumerationStep] = []
-    if mu_f != mu_w:
-        frontier = [mu_f]
-        queued = {mu_f.assign}
-        number = 2
-        while frontier:
-            expansions = []
-            produced_here: list[Matching] = []
-            for mu in frontier:
-                reduced = reduce_profile(profile, mu, mu_w)
-                cycles = tuple(find_cycles(reduced))
-                produced = tuple(cyclic_matching(mu, c) for c in cycles)
-                expansions.append(Expansion(mu, cycles, produced))
-                produced_here.extend(produced)
-            nxt: dict[tuple[int, ...], Matching] = {}
-            for m in produced_here:
-                found.setdefault(m.assign, m)
-                if m.assign not in queued and m != mu_w:
-                    nxt[m.assign] = m
-            steps.append(EnumerationStep(number, tuple(expansions)))
-            frontier = [nxt[k] for k in sorted(nxt)]
-            queued.update(nxt)
-            number += 1
+    frontier = [mu_f] if mu_f != mu_w else []
+    while frontier:
+        expansions = []
+        nxt: list[Matching] = []
+        for mu in frontier:
+            reduced = reduce_profile(profile, mu, mu_w)
+            cycles = tuple(find_cycles(reduced))
+            produced = tuple(cyclic_matching(mu, c) for c in cycles)
+            expansions.append(Expansion(mu, cycles, produced))
+            for m in produced:
+                if m.assign not in found:
+                    found[m.assign] = m
+                    nxt.append(m)
+        steps.append(EnumerationStep(len(steps) + 2, tuple(expansions)))
+        frontier = sorted(nxt, key=lambda m: m.assign)
     result = [found[k] for k in sorted(found)]
     return result, EnumerationTrace(mu_f, mu_w, tuple(steps))
 
@@ -226,10 +219,10 @@ class ComparisonReport:
         return tuple(m for m in self.truncation_set if m.assign not in have)
 
 
-def compare_algorithms(profile: Profile, oracle_cap: int = 10_000_000) -> ComparisonReport:
+def compare_algorithms(profile: Profile) -> ComparisonReport:
     """Run all three computations and report agreement and differences."""
     validate_profile(profile)
     cycle_set, _ = stable_set(profile, validate=False)
     truncation_set, trace = mms_algorithm(profile, validate=False)
-    oracle = brute_force_stable_set(profile, cap=oracle_cap)
+    oracle = brute_force_stable_set(profile)
     return ComparisonReport(tuple(oracle), tuple(cycle_set), tuple(truncation_set), trace)

@@ -71,13 +71,14 @@ def _draw_preference(
     _shuffle(rng, pool)  # pool[0] is the best individual
     rank = {agent: r for r, agent in enumerate(pool)}
     pad = n_opposite  # sorts after every real rank
+    longest = min(quota, len(pool))  # keys differ within their first `longest` places
 
     def key(subset: tuple[int, ...]) -> tuple[int, ...]:
         ranks = sorted(rank[x] for x in subset)
-        return tuple(ranks) + (pad,) * (quota - len(ranks))
+        return tuple(ranks) + (pad,) * (longest - len(ranks))
 
     subsets = [
-        s for size in range(1, min(quota, len(pool)) + 1) for s in combinations(pool, size)
+        s for size in range(1, longest + 1) for s in combinations(pool, size)
     ]
     subsets.sort(key=key)
     return Preference(owner, tuple(mask_of(s) for s in subsets))

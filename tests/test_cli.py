@@ -313,6 +313,13 @@ class TestErrorPaths:
         assert err == f"error: cannot write {target}: {os.strerror(errno.ENOENT)}\n"
         assert not target.parent.exists()
 
+    @pytest.mark.parametrize("role", ["market", "mu"])
+    def test_deeply_nested_json_exits_1(self, capsys, tmp_path, role):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        argv = ["validate", str(path)] if role == "market" else ["cycles", EX1, "--mu", str(path)]
+        assert run(capsys, *argv) == (1, "", f"error: {path} is nested too deeply\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "enumerate", "/nonexistent.json")
         assert code == 1 and "error" in err

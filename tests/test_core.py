@@ -16,7 +16,6 @@ from manymatch import (
     Profile,
     bit_indices,
     blair_geq,
-    check_eq1,
     choice,
     firm,
     full_mask,
@@ -24,7 +23,6 @@ from manymatch import (
     mask_of,
     random_market,
     satisfies_lad,
-    truncate,
     validate_profile,
     worker,
 )
@@ -111,7 +109,7 @@ class TestChoiceCache:
         original = WIDE.firm_prefs[0]
         for pool in pools:
             choice(WIDE, firm(0), pool)
-        truncated = replace(WIDE, firm_prefs=(truncate(original, worker(cut)),))
+        truncated = replace(WIDE, firm_prefs=(original.without(1 << cut),))
         reranked = replace(WIDE, firm_prefs=(Preference(firm(0), tuple(reordered)),))
         for pool in pools:
             assert choice(truncated, firm(0), pool) == _first_fit(truncated.firm_prefs[0].ranked, pool)
@@ -180,7 +178,7 @@ class TestAcceptablePartnersOnly:
         narrow = lists_profile(ranked)
         spread = tuple(mask_of(positions[i] for i in bit_indices(e)) for e in ranked)
         wide = lists_profile(spread, width=20)
-        for check in (is_substitutable, satisfies_lad, check_eq1):
+        for check in (is_substitutable, satisfies_lad):
             assert check(wide, firm(0)) == check(narrow, firm(0))
 
 
@@ -361,48 +359,57 @@ class TestBlair:
                             assert blair_geq(profile, agent, a, c)
 
 
+def _eq1_every_pair(table: list[int]) -> bool:
+    """Reference: choice(S | S') == choice(choice(S) | S') for every pair of pools."""
+    for s in range(len(table)):
+        cs = table[s]
+        for s2 in range(len(table)):
+            if table[s | s2] != table[cs | s2]:
+                return False
+    return True
+
+
 class TestEq1:
+    """Path independence: a first-fit list never depends on rejected partners,
+    so by Aizerman and Malishevski (1981) the pairwise identity holds exactly
+    when the list is substitutable."""
+
     def test_example_market(self, ex1):
         for agent in ex1.profile.agents():
-            assert check_eq1(ex1.profile, agent)
+            assert _eq1_every_pair(_choice_table(ex1.profile, agent, 12))
 
     def test_non_substitutable_fails(self):
         # Witness: S={w1}, S'={w2}: choice(choice({w1}) | {w2}) is empty.
-        assert not check_eq1(small_profile("w1w2"), firm(0))
+        assert not _eq1_every_pair(_choice_table(small_profile("w1w2"), firm(0), 12))
 
-    @settings(max_examples=150)
-    @given(ranked=ranked_lists)
-    def test_implied_by_substitutability(self, ranked):
-        profile = lists_profile(ranked)
-        if is_substitutable(profile, firm(0)):
-            assert check_eq1(profile, firm(0))
+    @settings(max_examples=400)
+    @given(ranked=st.lists(st.integers(1, (1 << 5) - 1), unique=True, max_size=10).map(tuple))
+    def test_agrees_with_is_substitutable(self, ranked):
+        profile = lists_profile(ranked, width=5)
+        assert is_substitutable(profile, firm(0)) == _eq1_every_pair(_choice_table(profile, firm(0), 12))
 
 
 class TestTruncate:
     def test_drops_every_set_containing_agent(self, ex2):
         pref = ex2.profile.firm_prefs[0]
-        assert truncate(pref, worker(0)).ranked == entries("w2,w3,w4")
+        assert pref.without(1 << 0).ranked == entries("w2,w3,w4")
 
     def test_example1_f2_at_w6(self, ex1):
         pref = ex1.profile.firm_prefs[1]
-        assert truncate(pref, worker(5)).ranked == entries(
+        assert pref.without(1 << 5).ranked == entries(
             "w3w5,w2w5,w1w3,w1w5,w1w2,w2w3,w1,w2,w3,w5"
         )
 
     def test_no_op_when_absent(self, ex1):
         pref = ex1.profile.firm_prefs[2]  # f3 never ranks w5
-        assert truncate(pref, worker(4)) == pref
-
-    def test_same_side_rejected(self, ex1):
-        with pytest.raises(ValueError):
-            truncate(ex1.profile.firm_prefs[0], firm(1))
+        assert pref.without(1 << 4) == pref
 
     @given(ranked=ranked_lists, banned=st.integers(0, 3), available=st.integers(0, 15))
     def test_choice_identity(self, ranked, banned, available):
         # Choosing under the truncation equals choosing from the pool minus
         # the banned agent, for every ranked list.
         base = lists_profile(ranked)
-        cut = Profile(1, 4, (truncate(base.firm_prefs[0], worker(banned)),), base.worker_prefs)
+        cut = Profile(1, 4, (base.firm_prefs[0].without(1 << banned),), base.worker_prefs)
         assert choice(cut, firm(0), available) == choice(
             base, firm(0), available & ~(1 << banned)
         )
@@ -417,7 +424,7 @@ class TestTruncate:
                     3,
                     4,
                     tuple(
-                        truncate(p, worker(w)) if i == f else p
+                        p.without(1 << w) if i == f else p
                         for i, p in enumerate(profile.firm_prefs)
                     ),
                     profile.worker_prefs,

@@ -32,7 +32,7 @@ markets = st.builds(
 )
 
 
-class TestDigraph:
+class TestSuccessorMap:
     """The successor map: the functional digraph on v1 whose loops are the cycles."""
 
     def test_example1_first_node_set(self, ex1):

@@ -11,15 +11,12 @@ from conftest import build_profile
 from manymatch import (
     GenConfig,
     Side,
-    bit_indices,
     blair_geq,
     brute_force_stable_set,
     deferred_acceptance,
     random_market,
     stability,
-    truncate,
     unanimous_blair_geq,
-    worker,
 )
 from manymatch.core import AgentId
 
@@ -125,12 +122,8 @@ class TestBans:
         bans = tuple(
             data.draw(st.integers(0, (1 << profile.n_workers) - 1)) for _ in range(profile.n_firms)
         )
-        cut = []
-        for pref, banned in zip(profile.firm_prefs, bans):
-            for w in bit_indices(banned):
-                pref = truncate(pref, worker(w))
-            cut.append(pref)
-        truncated = replace(profile, firm_prefs=tuple(cut))
+        cut = tuple(pref.without(banned) for pref, banned in zip(profile.firm_prefs, bans))
+        truncated = replace(profile, firm_prefs=cut)
         assert deferred_acceptance(profile, Side.FIRM, bans) == deferred_acceptance(truncated, Side.FIRM)
 
     def test_wrong_length_is_rejected(self, ex1):

@@ -78,6 +78,12 @@ def test_supersets_beat_subsets():
                     assert position[e] < position[smaller]
 
 
+def test_quota_past_the_pool_changes_nothing():
+    # No agent accepts more than 5 partners, so quota 10^4 ranks the same
+    # sets in the same order as quota 5.
+    assert random_market(GenConfig(4, 5, 10**4, 0.9, 11)) == random_market(GenConfig(4, 5, 5, 0.9, 11))
+
+
 def test_acceptable_pool_cap():
     with pytest.raises(CapExceeded):
         random_market(GenConfig(1, 13, quota=2, acceptability_prob=1.0, seed=0))
