@@ -37,6 +37,8 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
     except OSError as e:
         raise MarketFormatError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise MarketFormatError(f"{path} is not UTF-8 text") from None
     except json.JSONDecodeError as e:
         raise MarketFormatError(f"{path} is not valid JSON: {e}") from None
     except RecursionError:

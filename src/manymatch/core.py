@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
@@ -34,12 +34,35 @@ class AgentId(NamedTuple):
     index: int
 
 
+# EnumMeta.__getattr__ makes `Side.FIRM` a slow lookup on 3.10 and 3.11; hot paths read this name.
+_FIRM = Side.FIRM
+
+
+class _InternedIds(dict):
+    """One side's ids by index, built once for 0..MAX_SIDE-1; any other int
+    gets a fresh id, so a negative index does not wrap around."""
+
+    def __init__(self, side: Side) -> None:
+        super().__init__((i, AgentId(side, i)) for i in range(MAX_SIDE))
+        self.side = side
+
+    def __missing__(self, index: int) -> AgentId:
+        return AgentId(self.side, index)
+
+
+_FIRM_IDS = _InternedIds(Side.FIRM)
+_WORKER_IDS = _InternedIds(Side.WORKER)
+
+
 def firm(index: int) -> AgentId:
-    return AgentId(Side.FIRM, index)
+    """`AgentId(Side.FIRM, index)`, interned for in-range indices: the same
+    object on every call, so hot loops build no tuple per choice."""
+    return _FIRM_IDS[index]
 
 
 def worker(index: int) -> AgentId:
-    return AgentId(Side.WORKER, index)
+    """`AgentId(Side.WORKER, index)`, interned like `firm`."""
+    return _WORKER_IDS[index]
 
 
 def full_mask(n: int) -> int:
@@ -70,10 +93,18 @@ class Preference:
     fits the available pool.
 
     `acceptable` is the union of the ranked sets: every partner the agent
-    would accept. Partners outside it never change a choice, so the list
-    memoizes its choices in `_choice_cache`, keyed by `pool & acceptable`.
-    The cache belongs to this list alone: a truncated or replaced list is a
-    new `Preference` with an empty cache. Algorithms that truncate or reduce
+    would accept. The list holds two caches:
+
+    - `_choice_cache` memoizes choices keyed by `pool & acceptable`, since
+      partners outside `acceptable` never change a choice.
+    - `_band_cache` memoizes the reduction's step-1/2 bans among the
+      acceptable partners, keyed by the agent's two assigned sets `(top,
+      bot)`: those bans are a function of this list and that pair alone. The
+      enumeration reduces every matching against the same worker optimum, so
+      an agent whose own match did not change asks for the same pair again.
+
+    The caches belong to this list alone: a truncated or replaced list is a
+    new `Preference` with empty caches. Algorithms that truncate or reduce
     lists therefore keep the base list and a banned mask instead, choosing
     from `pool & ~banned`, which equals choosing under `without(banned)`.
     """
@@ -91,17 +122,22 @@ class Preference:
         object.__setattr__(self, "acceptable", reduce(or_, self.ranked, 0))
         object.__setattr__(self, "_choice_cache", {})
 
+    # Built on first read, so that a list no reduction reads costs nothing extra.
+    @cached_property
+    def _band_cache(self) -> dict[tuple[int, int], int]:
+        return {}
+
+    @cached_property
+    def _singletons(self) -> int:
+        return reduce(or_, (e for e in self.ranked if e & (e - 1) == 0), 0)
+
     def without(self, banned: int) -> "Preference":
         """The list minus every ranked set that meets `banned`, order kept."""
         return Preference(self.owner, tuple(e for e in self.ranked if not e & banned))
 
     def singleton_mask(self) -> int:
-        """Union of the entries that are single partners."""
-        m = 0
-        for e in self.ranked:
-            if e & (e - 1) == 0:
-                m |= e
-        return m
+        """Union of the entries that are single partners (computed once per list)."""
+        return self._singletons
 
 
 @dataclass(frozen=True)
@@ -110,8 +146,8 @@ class Profile:
 
     Immutable after construction; every operation on it is a pure function,
     so profiles can be shared freely across threads. The profile holds no
-    cache of its own: choices are memoized on each `Preference`, so profiles
-    that share a list share its cached choices.
+    cache of its own: choices and reduction bans are memoized on each
+    `Preference`, so profiles that share a list share its caches.
     """
 
     n_firms: int
@@ -144,24 +180,24 @@ class Profile:
                         raise ValueError(f"{side.value} {i} ranks partners outside the market")
 
     def side_size(self, side: Side) -> int:
-        return self.n_firms if side is Side.FIRM else self.n_workers
+        return self.n_firms if side is _FIRM else self.n_workers
 
     def opposite_size(self, side: Side) -> int:
-        return self.n_workers if side is Side.FIRM else self.n_firms
+        return self.n_workers if side is _FIRM else self.n_firms
 
     def pref(self, agent: AgentId) -> Preference:
-        prefs = self.firm_prefs if agent.side is Side.FIRM else self.worker_prefs
+        prefs = self.firm_prefs if agent.side is _FIRM else self.worker_prefs
         return prefs[agent.index]
 
     def name(self, agent: AgentId) -> str:
-        names = self.firm_names if agent.side is Side.FIRM else self.worker_names
+        names = self.firm_names if agent.side is _FIRM else self.worker_names
         return names[agent.index]
 
     def agents(self) -> Iterator[AgentId]:
         for f in range(self.n_firms):
-            yield AgentId(Side.FIRM, f)
+            yield firm(f)
         for w in range(self.n_workers):
-            yield AgentId(Side.WORKER, w)
+            yield worker(w)
 
 
 def choice(profile: Profile, agent: AgentId, available: int) -> int:

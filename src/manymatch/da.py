@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Profile, Side, AgentId, bit_indices, choice, full_mask
+from .core import Profile, Side, bit_indices, choice, firm, full_mask, worker
 from .matching import Matching
 
 
@@ -58,6 +58,9 @@ def deferred_acceptance(
         bans = (0,) * n_prop
     elif len(bans) != n_prop:
         raise ValueError(f"{len(bans)} ban masks for {n_prop} proposers")
+    proposer_id, receiver_id = (firm, worker) if proposing is Side.FIRM else (worker, firm)
+    proposers = [proposer_id(p) for p in range(n_prop)]  # ids built once per run
+    receivers = [receiver_id(r) for r in range(n_recv)]
     rejected_by = list(bans)  # receiver masks that cut (or ban) each proposer
     held = [0] * n_recv  # proposer masks currently held
     rounds: list[DARound] = []
@@ -67,8 +70,7 @@ def deferred_acceptance(
         if len(rounds) > limit:
             raise NonTermination(f"no fixed point after {limit} rounds")
         proposals = tuple(
-            choice(profile, AgentId(proposing, p), pool & ~rejected_by[p])
-            for p in range(n_prop)
+            choice(profile, agent, pool & ~cut) for agent, cut in zip(proposers, rejected_by)
         )
         offers = [0] * n_recv
         for p, mask in enumerate(proposals):
@@ -77,7 +79,7 @@ def deferred_acceptance(
         rejections: list[tuple[int, int]] = []
         for r in range(n_recv):
             table = offers[r] | held[r]
-            keep = choice(profile, AgentId(receiving, r), table)
+            keep = choice(profile, receivers[r], table)
             held[r] = keep
             for p in bit_indices(table & ~keep):
                 rejections.append((p, r))

@@ -6,8 +6,11 @@ deleted by banning individual partners and dropping every set that contains a
 banned partner. A per-agent banned mask therefore characterizes the whole
 reduction: a reduced choice is a base choice from the pool minus the banned
 partners, so every reduction shares the base profile's cached choices. The
-reduced lists themselves are built only on demand, one mask filter per
-ranked list.
+reductions also share each list's step-1/2 bans: those depend on the list and
+the agent's two assigned sets only, so they are memoized on the base
+`Preference` and reused by every later reduction in which that agent's pair
+of sets recurs. The reduced lists themselves are built only on demand, one
+mask filter per ranked list.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import AgentId, Profile, Side, bit_indices, choice, firm, full_mask, worker
+from .core import _FIRM, AgentId, Profile, Side, bit_indices, choice, firm, full_mask, worker
 from .da import deferred_acceptance
 from .matching import Matching, StabilityReport, stability, unanimous_blair_geq
 
@@ -46,9 +49,8 @@ class ReducedProfile:
     banned_worker: tuple[int, ...]  # per worker: mask of banned firms
 
     def banned(self, agent: AgentId) -> int:
-        if agent.side is Side.FIRM:
-            return self.banned_firm[agent.index]
-        return self.banned_worker[agent.index]
+        masks = self.banned_firm if agent.side is _FIRM else self.banned_worker
+        return masks[agent.index]
 
     def choice_reduced(self, agent: AgentId, available: int) -> int:
         return choice(self.base, agent, available & ~self.banned(agent))
@@ -81,17 +83,23 @@ def _step12_banned(profile: Profile, agent: AgentId, top: int, bot: int) -> int:
     Both assigned sets must be individually rational (the caller has checked
     stability). Then a partner outside every ranked set is always banned by
     the second test, since choice(bot | {b}) = choice(bot) = bot, so only
-    acceptable partners are tested.
+    acceptable partners are tested. Those bans depend on the list, top and
+    bot alone, so they are memoized on the list; the rest depends on the
+    profile's side size and is recomputed per call.
     """
-    acceptable = profile.pref(agent).acceptable
-    banned = full_mask(profile.opposite_size(agent.side)) & ~acceptable
-    for b in bit_indices(acceptable):
-        bit = 1 << b
-        if not top & bit and choice(profile, agent, top | bit) & bit:
-            banned |= bit
-        elif not bot & bit and choice(profile, agent, bot | bit) == bot:
-            banned |= bit
-    return banned
+    pref = profile.pref(agent)
+    acceptable = pref.acceptable
+    within = pref._band_cache.get((top, bot))
+    if within is None:
+        within = 0
+        for b in bit_indices(acceptable):
+            bit = 1 << b
+            if not top & bit and choice(profile, agent, top | bit) & bit:
+                within |= bit
+            elif not bot & bit and choice(profile, agent, bot | bit) == bot:
+                within |= bit
+        pref._band_cache[(top, bot)] = within
+    return within | (full_mask(profile.opposite_size(agent.side)) & ~acceptable)
 
 
 def _describe(profile: Profile, report: StabilityReport) -> str:

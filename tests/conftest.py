@@ -1,7 +1,9 @@
-"""Shared builders and the two worked example markets."""
+"""Shared builders, the two worked example markets and an oracle-free lattice check."""
 
 from __future__ import annotations
 
+import itertools
+import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -9,7 +11,24 @@ from pathlib import Path
 import pytest
 
 import golden
-from manymatch import Matching, Preference, Profile, bit_indices, firm, worker
+from manymatch import (
+    GenConfig,
+    Matching,
+    Preference,
+    Profile,
+    Side,
+    bit_indices,
+    brute_force_stable_set,
+    choice,
+    deferred_acceptance,
+    firm,
+    mask_of,
+    random_market,
+    rural_hospitals_holds,
+    stability,
+    unanimous_blair_geq,
+    worker,
+)
 
 MARKETS_DIR = Path(__file__).resolve().parent.parent / "markets"
 
@@ -58,6 +77,118 @@ def compact_rows(profile: Profile) -> dict[str, str]:
                 "".join(partner_names[i] for i in bit_indices(e)) for e in pref.ranked
             )
     return out
+
+
+def wide_block_market(seed: int, n_blocks: int = 4, size: int = 3, quota: int = 2):
+    """Disjoint size x size blocks embedded in one market under shuffled
+    indices, so each agent accepts only the few partners of its own block.
+
+    Blocks are responsive (the given quota, every partner of the block
+    acceptable) and kept only when the oracle finds at least 2 stable
+    matchings. The union's stable set is the product of the blocks' sets; it
+    is returned as sorted firm-side assignment tuples.
+    """
+    rng = random.Random(seed)
+    blocks = []
+    while len(blocks) < n_blocks:
+        block = random_market(GenConfig(size, size, quota, 1.0, rng.randrange(1 << 31)))
+        stable = brute_force_stable_set(block)
+        if len(stable) >= 2:
+            blocks.append((block, stable))
+    n = size * n_blocks
+    fperm, wperm = list(range(n)), list(range(n))
+    rng.shuffle(fperm)
+    rng.shuffle(wperm)
+
+    def remap(mask: int, offset: int, perm: list[int]) -> int:
+        return mask_of(perm[offset + i] for i in bit_indices(mask))
+
+    firm_ranked: list[tuple[int, ...]] = [()] * n
+    worker_ranked: list[tuple[int, ...]] = [()] * n
+    block_sets = []  # per block: its stable matchings as {firm: worker mask}
+    for b, (block, stable) in enumerate(blocks):
+        o = b * size
+        for i, pref in enumerate(block.firm_prefs):
+            firm_ranked[fperm[o + i]] = tuple(remap(e, o, wperm) for e in pref.ranked)
+        for i, pref in enumerate(block.worker_prefs):
+            worker_ranked[wperm[o + i]] = tuple(remap(e, o, fperm) for e in pref.ranked)
+        block_sets.append(
+            [{fperm[o + i]: remap(ws, o, wperm) for i, ws in enumerate(m.assign)} for m in stable]
+        )
+    profile = Profile(
+        n,
+        n,
+        tuple(Preference(firm(i), r) for i, r in enumerate(firm_ranked)),
+        tuple(Preference(worker(i), r) for i, r in enumerate(worker_ranked)),
+    )
+    expected = []
+    for combo in itertools.product(*block_sets):
+        assign = [0] * n
+        for part in combo:
+            for f, ws in part.items():
+                assign[f] = ws
+        expected.append(tuple(assign))
+    return profile, sorted(expected)
+
+
+def firm_join(profile: Profile, a: Matching, b: Matching) -> Matching:
+    """The firm-preferred join: each firm chooses from the union of its two matches."""
+    return Matching(
+        tuple(choice(profile, firm(f), x | y) for f, (x, y) in enumerate(zip(a.assign, b.assign))),
+        profile.n_workers,
+    )
+
+
+def worker_meet(profile: Profile, a: Matching, b: Matching) -> Matching:
+    """The worker-preferred meet: each worker chooses from the union of its
+    two matches, read back as each firm's worker set."""
+    va, vb = a.worker_view(), b.worker_view()
+    assign = [0] * profile.n_firms
+    for w in range(profile.n_workers):
+        for f in bit_indices(choice(profile, worker(w), va[w] | vb[w])):
+            assign[f] |= 1 << w
+    return Matching(tuple(assign), profile.n_workers)
+
+
+def check_lattice(profile: Profile, matchings, max_pairs: int = 2000, seed: int = 0) -> None:
+    """Assert that `matchings` looks like the whole stable set, without an oracle.
+
+    Under substitutability and LAD the stable set is a distributive lattice
+    whose join and meet are computed agent by agent (Alkan 2002). So every
+    element must be stable, the two deferred-acceptance optima must be in it
+    and bound it in both sides' Blair orders, it must be closed under
+    `firm_join` and `worker_meet`, and every agent must keep one partner
+    count throughout (rural hospitals). Closure is tested on every pair when
+    there are at most `max_pairs`, else on `max_pairs` seeded random pairs.
+
+    This catches unstable and spurious matchings and a missing one that is
+    the join or meet of two present ones. It cannot see a missing matching
+    that is neither (join- and meet-irreducible), so it complements the
+    oracle and never replaces it.
+    """
+    ms = list(matchings)
+    have = {m.assign for m in ms}
+    assert len(have) == len(ms), "a matching is listed twice"
+    for m in ms:
+        assert stability(profile, m).stable, f"unstable: {m.assign}"
+    mu_f = deferred_acceptance(profile, Side.FIRM)[0]
+    mu_w = deferred_acceptance(profile, Side.WORKER)[0]
+    assert mu_f.assign in have and mu_w.assign in have, "a one-side optimum is missing"
+    for m in ms:
+        assert unanimous_blair_geq(profile, mu_f, m, Side.FIRM), f"above mu_F: {m.assign}"
+        assert unanimous_blair_geq(profile, m, mu_w, Side.FIRM), f"below mu_W: {m.assign}"
+        assert unanimous_blair_geq(profile, mu_w, m, Side.WORKER), f"above mu_W: {m.assign}"
+        assert unanimous_blair_geq(profile, m, mu_f, Side.WORKER), f"below mu_F: {m.assign}"
+    n = len(ms)
+    if n * (n - 1) // 2 <= max_pairs:
+        pairs = itertools.combinations(ms, 2)
+    else:
+        rng = random.Random(seed)
+        pairs = (rng.sample(ms, 2) for _ in range(max_pairs))
+    for a, b in pairs:
+        assert firm_join(profile, a, b).assign in have, f"join missing: {a.assign} {b.assign}"
+        assert worker_meet(profile, a, b).assign in have, f"meet missing: {a.assign} {b.assign}"
+    assert rural_hospitals_holds(ms), "partner counts differ between matchings"
 
 
 @dataclass(frozen=True)

@@ -320,6 +320,13 @@ class TestErrorPaths:
         argv = ["validate", str(path)] if role == "market" else ["cycles", EX1, "--mu", str(path)]
         assert run(capsys, *argv) == (1, "", f"error: {path} is nested too deeply\n")
 
+    @pytest.mark.parametrize("role", ["market", "mu"])
+    def test_non_utf8_json_exits_1(self, capsys, tmp_path, role):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        argv = ["validate", str(path)] if role == "market" else ["cycles", EX1, "--mu", str(path)]
+        assert run(capsys, *argv) == (1, "", f"error: {path} is not UTF-8 text\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "enumerate", "/nonexistent.json")
         assert code == 1 and "error" in err

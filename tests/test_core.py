@@ -26,7 +26,7 @@ from manymatch import (
     validate_profile,
     worker,
 )
-from manymatch.core import _choice_table
+from manymatch.core import MAX_SIDE, AgentId, Side, _choice_table
 
 W = full_mask(6)
 
@@ -431,6 +431,24 @@ class TestTruncate:
                 )
                 assert is_substitutable(cut, firm(f))
                 assert satisfies_lad(cut, firm(f))
+
+
+class TestAgentIds:
+    @pytest.mark.parametrize("index", [0, 1, MAX_SIDE - 1, MAX_SIDE, MAX_SIDE + 5, -1])
+    def test_equal_to_a_built_id(self, index):
+        assert firm(index) == AgentId(Side.FIRM, index)
+        assert worker(index) == AgentId(Side.WORKER, index)
+        assert firm(index).index == worker(index).index == index
+        assert firm(index) != worker(index)
+
+    def test_interned_in_range(self):
+        for i in range(MAX_SIDE):
+            assert firm(i) is firm(i) and worker(i) is worker(i)
+
+    def test_no_wraparound_out_of_range(self):
+        assert firm(-1).index == -1
+        assert worker(MAX_SIDE + 5).index == MAX_SIDE + 5
+        assert firm(-1) != firm(MAX_SIDE - 1)
 
 
 class TestProfileInvariants:

@@ -2,31 +2,31 @@
 
 from __future__ import annotations
 
-import itertools
 import json
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import golden
-from conftest import build_matching, build_profile, entries
+from conftest import (
+    build_matching,
+    build_profile,
+    check_lattice,
+    entries,
+    firm_join,
+    wide_block_market,
+    worker_meet,
+)
 from manymatch import (
     AxiomViolation,
     GenConfig,
-    Preference,
-    Profile,
-    bit_indices,
     brute_force_stable_set,
     compare_algorithms,
-    firm,
     market_to_obj,
-    mask_of,
     mms_algorithm,
     random_market,
     stable_set,
     validate_profile,
-    worker,
 )
 from manymatch.cli import main
 from manymatch.core import DEFAULT_CHECK_CAP
@@ -107,58 +107,6 @@ class TestStableSet:
                 assert m in produced
 
 
-def wide_block_market(seed: int, n_blocks: int = 4, size: int = 3, quota: int = 2):
-    """Disjoint size x size blocks embedded in one market under shuffled
-    indices, so each agent accepts only the few partners of its own block.
-
-    Blocks are responsive (the given quota, every partner of the block
-    acceptable) and kept only when the oracle finds at least 2 stable
-    matchings. The union's stable set is the product of the blocks' sets; it
-    is returned as sorted firm-side assignment tuples.
-    """
-    rng = random.Random(seed)
-    blocks = []
-    while len(blocks) < n_blocks:
-        block = random_market(GenConfig(size, size, quota, 1.0, rng.randrange(1 << 31)))
-        stable = brute_force_stable_set(block)
-        if len(stable) >= 2:
-            blocks.append((block, stable))
-    n = size * n_blocks
-    fperm, wperm = list(range(n)), list(range(n))
-    rng.shuffle(fperm)
-    rng.shuffle(wperm)
-
-    def remap(mask: int, offset: int, perm: list[int]) -> int:
-        return mask_of(perm[offset + i] for i in bit_indices(mask))
-
-    firm_ranked: list[tuple[int, ...]] = [()] * n
-    worker_ranked: list[tuple[int, ...]] = [()] * n
-    block_sets = []  # per block: its stable matchings as {firm: worker mask}
-    for b, (block, stable) in enumerate(blocks):
-        o = b * size
-        for i, pref in enumerate(block.firm_prefs):
-            firm_ranked[fperm[o + i]] = tuple(remap(e, o, wperm) for e in pref.ranked)
-        for i, pref in enumerate(block.worker_prefs):
-            worker_ranked[wperm[o + i]] = tuple(remap(e, o, fperm) for e in pref.ranked)
-        block_sets.append(
-            [{fperm[o + i]: remap(ws, o, wperm) for i, ws in enumerate(m.assign)} for m in stable]
-        )
-    profile = Profile(
-        n,
-        n,
-        tuple(Preference(firm(i), r) for i, r in enumerate(firm_ranked)),
-        tuple(Preference(worker(i), r) for i, r in enumerate(worker_ranked)),
-    )
-    expected = []
-    for combo in itertools.product(*block_sets):
-        assign = [0] * n
-        for part in combo:
-            for f, ws in part.items():
-                assign[f] = ws
-        expected.append(tuple(assign))
-    return profile, sorted(expected)
-
-
 class TestWideMarkets:
     """Agents that accept a few partners on a wide side: every scan bounded
     by acceptable partners must still see each of them."""
@@ -196,6 +144,48 @@ class TestWideMarkets:
         assert [m.assign for m in brute_force_stable_set(profile)] == expected
         assert main(["compare", str(market)]) == 0
         assert json.loads(capsys.readouterr().out)["cycle_enumeration_matches_oracle"] is True
+
+
+class TestLatticeCheck:
+    """`check_lattice` on sets beyond the oracle, and the limit of what it sees."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_wide_block_markets(self, seed):
+        profile, _ = wide_block_market(seed)
+        matchings, _ = stable_set(profile)
+        check_lattice(profile, matchings)
+
+    def test_ten_swap_blocks_sampled(self):
+        # 20 agents a side and 1,024 stable matchings: past the oracle's cap,
+        # so closure is tested on 2,000 seeded random pairs.
+        profile, expected = wide_block_market(3, n_blocks=10, size=2, quota=1)
+        matchings, _ = stable_set(profile)
+        assert len(matchings) == len(expected) == 1024
+        check_lattice(profile, matchings)
+
+    def test_catches_a_missing_join_reducible_matching(self):
+        profile, _ = wide_block_market(1)
+        matchings, trace = stable_set(profile)
+        reducible = {
+            join
+            for i, a in enumerate(matchings)
+            for b in matchings[i + 1 :]
+            if (join := firm_join(profile, a, b)) not in (a, b)
+        }
+        # The join of two other members, other than the firm optimum (whose
+        # absence the optimum test would catch on its own).
+        dropped = next(m for m in matchings if m in reducible and m != trace.mu_firm)
+        with pytest.raises(AssertionError, match="join missing"):
+            check_lattice(profile, [m for m in matchings if m != dropped])
+
+    def test_cannot_see_a_missing_doubly_irreducible_matching(self, ex1):
+        # Example 1's set is a diamond: sigma1 is neither the join nor the
+        # meet of two other stable matchings, so dropping it goes unseen.
+        matchings, _ = stable_set(ex1.profile)
+        sigma1, sigma2 = ex1.others["sigma1"], ex1.others["sigma2"]
+        assert firm_join(ex1.profile, sigma1, sigma2) == ex1.mu_f
+        assert worker_meet(ex1.profile, sigma1, sigma2) == ex1.mu_w
+        check_lattice(ex1.profile, [m for m in matchings if m != sigma1])
 
 
 class TestTruncationAlgorithm:

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import golden
-from conftest import compact_rows
+from conftest import compact_rows, wide_block_market
 from manymatch import (
     GenConfig,
     NotComparable,
     NotStable,
     Matching,
+    Preference,
+    Profile,
     Side,
     brute_force_stable_set,
     choice,
@@ -23,10 +25,12 @@ from manymatch import (
     reduce_profile,
     reduce_to_worker_optimal,
     satisfies_lad,
+    stable_set,
     unanimous_blair_geq,
 )
 from manymatch.core import AgentId, firm, worker
 from manymatch.reduction import _step12_banned
+from test_acceptance import CORPUS_SIZE, corpus_config
 
 markets = st.builds(
     lambda nf, nw, q, prob, seed: random_market(GenConfig(nf, nw, q, prob, seed)),
@@ -195,6 +199,58 @@ class TestBanningOracle:
                 assert _step12_banned(
                     profile, worker(w), wv_mut[w], wv_mu[w]
                 ) == _banned_by_literal_scan(profile, worker(w), wv_mut[w], wv_mu[w])
+
+
+def _rebuilt(profile: Profile) -> Profile:
+    """The same market on new lists, so that every cache starts empty."""
+    return Profile(
+        profile.n_firms,
+        profile.n_workers,
+        tuple(Preference(p.owner, p.ranked) for p in profile.firm_prefs),
+        tuple(Preference(p.owner, p.ranked) for p in profile.worker_prefs),
+    )
+
+
+def _several_stable() -> list[Profile]:
+    """The acceptance corpus's markets with 2 or more stable matchings."""
+    markets = (random_market(corpus_config(i)) for i in range(CORPUS_SIZE))
+    return [p for p in markets if len(stable_set(_rebuilt(p), validate=False)[0]) >= 2]
+
+
+class TestBandMemo:
+    """Bans memoized on the lists of one profile, across many reductions in
+    any order and against any lower end, equal a fresh profile's bans."""
+
+    @staticmethod
+    def _check(profile: Profile) -> int:
+        stable, trace = stable_set(_rebuilt(profile), validate=False)
+        mu_w = trace.mu_worker
+        pairs = [(mu, mu_w) for mu in stable] + [(mu, mu_w) for mu in reversed(stable)]
+        pairs += [
+            (mu, mu_tilde)
+            for mu in stable
+            for mu_tilde in stable
+            if mu_tilde != mu_w and unanimous_blair_geq(profile, mu, mu_tilde, Side.FIRM)
+        ]
+        shared = _rebuilt(profile)
+        for mu, mu_tilde in pairs:
+            memoized = reduce_profile(shared, mu, mu_tilde)
+            fresh = reduce_profile(_rebuilt(profile), mu, mu_tilde)
+            assert (memoized.banned_firm, memoized.banned_worker) == (
+                fresh.banned_firm,
+                fresh.banned_worker,
+            )
+        return len(pairs)
+
+    def test_acceptance_corpus(self):
+        markets = _several_stable()
+        assert len(markets) >= 50
+        assert sum(self._check(p) for p in markets) > 4 * len(markets)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_wide_block_market(self, seed):
+        profile, expected = wide_block_market(seed)
+        assert self._check(profile) > 2 * len(expected)
 
 
 class TestMutualAcceptability:
