@@ -68,17 +68,18 @@ def _cmd_validate(args) -> int:
     profile = parse_market(_load_json(args.market))
     # Every check runs before the first line is printed, so an agent past the
     # cap ends the command with no partial report on stdout.
-    verdicts = [(profile.name(a), *_axiom_verdicts(profile, a, args.cap)) for a in profile.agents()]
+    verdicts = [(a, *_axiom_verdicts(profile, a, args.cap)) for a in profile.agents()]
     failures = []
-    for name, sub, lad in verdicts:
+    for agent, sub, lad in verdicts:
+        name = profile.name(agent)
         print(f"{name}: substitutable={'yes' if sub else 'NO'} lad={'yes' if lad else 'NO'}")
         if not sub:
-            failures.append(f"{name} violates substitutability")
+            failures.append(AxiomViolation(agent, "substitutability", name))
         if not lad:
-            failures.append(f"{name} violates the law of aggregate demand")
+            failures.append(AxiomViolation(agent, "law of aggregate demand", name))
     if failures:
-        for line in failures:
-            print(line, file=sys.stderr)
+        for err in failures:
+            print(err, file=sys.stderr)
         return 2
     return 0
 

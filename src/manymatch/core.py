@@ -38,31 +38,21 @@ class AgentId(NamedTuple):
 _FIRM = Side.FIRM
 
 
-class _InternedIds(dict):
-    """One side's ids by index, built once for 0..MAX_SIDE-1; any other int
-    gets a fresh id, so a negative index does not wrap around."""
-
-    def __init__(self, side: Side) -> None:
-        super().__init__((i, AgentId(side, i)) for i in range(MAX_SIDE))
-        self.side = side
-
-    def __missing__(self, index: int) -> AgentId:
-        return AgentId(self.side, index)
-
-
-_FIRM_IDS = _InternedIds(Side.FIRM)
-_WORKER_IDS = _InternedIds(Side.WORKER)
+# One side's ids by index, built once for 0..MAX_SIDE-1.
+_FIRM_IDS = tuple(AgentId(Side.FIRM, i) for i in range(MAX_SIDE))
+_WORKER_IDS = tuple(AgentId(Side.WORKER, i) for i in range(MAX_SIDE))
 
 
 def firm(index: int) -> AgentId:
     """`AgentId(Side.FIRM, index)`, interned for in-range indices: the same
-    object on every call, so hot loops build no tuple per choice."""
-    return _FIRM_IDS[index]
+    object on every call, so hot loops build no tuple per choice. Any other
+    int gets a fresh id, so a negative index does not wrap around."""
+    return _FIRM_IDS[index] if 0 <= index < MAX_SIDE else AgentId(Side.FIRM, index)
 
 
 def worker(index: int) -> AgentId:
     """`AgentId(Side.WORKER, index)`, interned like `firm`."""
-    return _WORKER_IDS[index]
+    return _WORKER_IDS[index] if 0 <= index < MAX_SIDE else AgentId(Side.WORKER, index)
 
 
 def full_mask(n: int) -> int:
@@ -82,6 +72,16 @@ def bit_indices(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def transpose(rows: Iterable[int], n: int) -> list[int]:
+    """The n column masks of a list of row masks: bit r of column c is set
+    when bit c of row r is."""
+    cols = [0] * n
+    for r, row in enumerate(rows):
+        for c in bit_indices(row):
+            cols[c] |= 1 << r
+    return cols
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Profile, Side, bit_indices, choice, firm, full_mask, worker
+from .core import Profile, Side, bit_indices, choice, firm, full_mask, transpose, worker
 from .matching import Matching
 
 
 class NonTermination(Exception):
-    """Defensive round guard tripped; cannot happen for valid substitutable input."""
+    """Defensive round guard tripped; cannot happen for any input, since a
+    run ends within one round per (proposer, receiver) pair plus one."""
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,9 @@ def deferred_acceptance(
     rejected_by = list(bans)  # receiver masks that cut (or ban) each proposer
     held = [0] * n_recv  # proposer masks currently held
     rounds: list[DARound] = []
-    limit = profile.n_firms * profile.n_workers * (1 << max(profile.n_firms, profile.n_workers)) + 1
+    # Each (proposer, receiver) pair is cut at most once, and every round but
+    # the last cuts one, so no input needs more than limit + 1 rounds.
+    limit = n_prop * n_recv
 
     while True:
         if len(rounds) > limit:
@@ -72,10 +75,7 @@ def deferred_acceptance(
         proposals = tuple(
             choice(profile, agent, pool & ~cut) for agent, cut in zip(proposers, rejected_by)
         )
-        offers = [0] * n_recv
-        for p, mask in enumerate(proposals):
-            for r in bit_indices(mask):
-                offers[r] |= 1 << p
+        offers = transpose(proposals, n_recv)
         rejections: list[tuple[int, int]] = []
         for r in range(n_recv):
             table = offers[r] | held[r]

@@ -31,8 +31,13 @@ from .reduction import reduce_profile
 
 
 class AxiomViolation(Exception):
-    def __init__(self, agent: AgentId, axiom: str):
-        super().__init__(f"{agent.side.value} {agent.index} violates {axiom}")
+    """`agent` fails `axiom`; the message calls it `name`, its name in the
+    market, or by side and index when no name is given."""
+
+    def __init__(self, agent: AgentId, axiom: str, name: str | None = None):
+        who = f"{agent.side.value} {agent.index}" if name is None else name
+        article = "the " if axiom == "law of aggregate demand" else ""
+        super().__init__(f"{who} violates {article}{axiom}")
         self.agent = agent
         self.axiom = axiom
 
@@ -47,9 +52,9 @@ def validate_profile(profile: Profile, cap: int = DEFAULT_CHECK_CAP) -> None:
     for agent in profile.agents():
         substitutable, lad = _axiom_verdicts(profile, agent, cap)
         if not substitutable:
-            raise AxiomViolation(agent, "substitutability")
+            raise AxiomViolation(agent, "substitutability", profile.name(agent))
         if not lad:
-            raise AxiomViolation(agent, "law of aggregate demand")
+            raise AxiomViolation(agent, "law of aggregate demand", profile.name(agent))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from .core import (
     blair_geq,
     choice,
     firm,
+    transpose,
     worker,
 )
 
@@ -33,11 +34,7 @@ class Matching:
 
     @cached_property
     def _worker_view(self) -> tuple[int, ...]:
-        firms_of = [0] * self.n_workers
-        for f, ws in enumerate(self.assign):
-            for w in bit_indices(ws):
-                firms_of[w] |= 1 << f
-        return tuple(firms_of)
+        return tuple(transpose(self.assign, self.n_workers))
 
     def worker_view(self) -> tuple[int, ...]:
         """Per worker, the mask of firms whose assigned set contains it

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import _FIRM, AgentId, Profile, Side, bit_indices, choice, firm, full_mask, worker
+from .core import _FIRM, AgentId, Profile, Side, bit_indices, choice, firm, full_mask, transpose, worker
 from .da import deferred_acceptance
 from .matching import Matching, StabilityReport, stability, unanimous_blair_geq
 
@@ -48,12 +48,9 @@ class ReducedProfile:
     banned_firm: tuple[int, ...]  # per firm: mask of banned workers
     banned_worker: tuple[int, ...]  # per worker: mask of banned firms
 
-    def banned(self, agent: AgentId) -> int:
-        masks = self.banned_firm if agent.side is _FIRM else self.banned_worker
-        return masks[agent.index]
-
     def choice_reduced(self, agent: AgentId, available: int) -> int:
-        return choice(self.base, agent, available & ~self.banned(agent))
+        masks = self.banned_firm if agent.side is _FIRM else self.banned_worker
+        return choice(self.base, agent, available & ~masks[agent.index])
 
     @cached_property
     def materialized(self) -> Profile:
@@ -147,14 +144,12 @@ def reduce_profile(profile: Profile, mu: Matching, mu_tilde: Matching) -> Reduce
     # Mutual-acceptability pass over the post-step-2 singleton survivors:
     # f bans every worker whose surviving singletons lack f, and vice versa.
     # The columns of each side's survivors are collected from the sparse rows.
-    alive_by_w = [0] * profile.n_firms  # per firm: workers whose singleton {f} survived
-    for w, p in enumerate(profile.worker_prefs):
-        for f in bit_indices(p.singleton_mask() & ~banned_w[w]):
-            alive_by_w[f] |= 1 << w
-    alive_by_f = [0] * profile.n_workers  # per worker: firms whose singleton {w} survived
-    for f, p in enumerate(profile.firm_prefs):
-        for w in bit_indices(p.singleton_mask() & ~banned_f[f]):
-            alive_by_f[w] |= 1 << f
+    alive_by_w = transpose(  # per firm: workers whose singleton {f} survived
+        [p.singleton_mask() & ~b for p, b in zip(profile.worker_prefs, banned_w)], profile.n_firms
+    )
+    alive_by_f = transpose(  # per worker: firms whose singleton {w} survived
+        [p.singleton_mask() & ~b for p, b in zip(profile.firm_prefs, banned_f)], profile.n_workers
+    )
     all_w = full_mask(profile.n_workers)
     all_f = full_mask(profile.n_firms)
     banned_f = [b | (all_w & ~alive_by_w[f]) for f, b in enumerate(banned_f)]

@@ -87,21 +87,14 @@ def _set_names(mask: int, names: tuple[str, ...]) -> list[str]:
 
 
 def market_to_obj(profile: Profile) -> dict:
+    def side_prefs(owners: tuple[str, ...], prefs: tuple[Preference, ...], partners: tuple[str, ...]):
+        return {name: [_set_names(e, partners) for e in p.ranked] for name, p in zip(owners, prefs)}
+
     return {
         "firms": list(profile.firm_names),
         "workers": list(profile.worker_names),
-        "firm_prefs": {
-            profile.firm_names[f]: [
-                _set_names(e, profile.worker_names) for e in profile.firm_prefs[f].ranked
-            ]
-            for f in range(profile.n_firms)
-        },
-        "worker_prefs": {
-            profile.worker_names[w]: [
-                _set_names(e, profile.firm_names) for e in profile.worker_prefs[w].ranked
-            ]
-            for w in range(profile.n_workers)
-        },
+        "firm_prefs": side_prefs(profile.firm_names, profile.firm_prefs, profile.worker_names),
+        "worker_prefs": side_prefs(profile.worker_names, profile.worker_prefs, profile.firm_names),
     }
 
 

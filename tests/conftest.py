@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import golden
 from manymatch import (
@@ -54,6 +55,25 @@ def build_profile(firm_rows: list[str], worker_rows: list[str]) -> Profile:
         len(worker_rows),
         tuple(Preference(firm(i), entries(r)) for i, r in enumerate(firm_rows)),
         tuple(Preference(worker(i), entries(r)) for i, r in enumerate(worker_rows)),
+    )
+
+
+def _ranked_lists(width: int):
+    if not width:
+        return st.just(())
+    return st.lists(st.integers(1, (1 << width) - 1), unique=True, max_size=(1 << width) - 1).map(tuple)
+
+
+@st.composite
+def small_markets(draw, max_side: int = 3) -> Profile:
+    """Up to max_side x max_side, each agent ranking any distinct nonempty
+    sets in any order."""
+    n_firms, n_workers = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
+    return Profile(
+        n_firms,
+        n_workers,
+        tuple(Preference(firm(f), draw(_ranked_lists(n_workers))) for f in range(n_firms)),
+        tuple(Preference(worker(w), draw(_ranked_lists(n_firms))) for w in range(n_workers)),
     )
 
 

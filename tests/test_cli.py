@@ -7,12 +7,64 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import MARKETS_DIR
 from manymatch.cli import main
 
 EX1 = str(MARKETS_DIR / "example1.json")
 EX2 = str(MARKETS_DIR / "example2.json")
+
+# globex's list is substitutable but fails LAD: it chooses {ann} from
+# {ann, bob, cy} but {bob, cy} once ann leaves.
+NOT_LAD = {
+    "firms": ["acme", "globex"],
+    "workers": ["ann", "bob", "cy"],
+    "firm_prefs": {"acme": [["ann"]], "globex": [["ann"], ["bob", "cy"], ["bob"], ["cy"]]},
+    "worker_prefs": {"ann": [["acme"], ["globex"]], "bob": [["globex"]], "cy": [["globex"]]},
+}
+
+# Arbitrary JSON of bounded size, and market- and matching-shaped objects
+# over two firms and two workers with at most one field replaced by it, so
+# that inputs reach every stage from parsing to enumeration.
+_FIRMS, _WORKERS = st.sampled_from(["f1", "f2"]), st.sampled_from(["w1", "w2"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats(allow_nan=False) | st.text(max_size=2) | _FIRMS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_FIRMS | _WORKERS, inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _rankings(owners, partners):
+    ranked_set = st.lists(partners, min_size=1, max_size=2, unique=True)
+    return st.dictionaries(owners, st.lists(ranked_set, max_size=3), max_size=2)
+
+
+@st.composite
+def _with_junk(draw, shaped: dict, optional: dict):
+    """A `shaped` object, or one with a field set to arbitrary JSON, or arbitrary JSON."""
+    obj = draw(st.fixed_dictionaries(shaped, optional=optional))
+    key = draw(st.sampled_from([None, None, "", *shaped, *optional]))
+    if key == "":
+        return draw(_JSON)
+    if key is not None:
+        obj[key] = draw(_JSON)
+    return obj
+
+
+_MARKETS = _with_junk(
+    {
+        "firms": st.just(["f1", "f2"]),
+        "workers": st.just(["w1", "w2"]),
+        "firm_prefs": _rankings(_FIRMS, _WORKERS),
+        "worker_prefs": _rankings(_WORKERS, _FIRMS),
+    },
+    {},
+)
+_MATCHINGS = _with_junk(
+    {"assignment": st.dictionaries(_FIRMS, st.lists(_WORKERS, max_size=2, unique=True), max_size=2)},
+    {"unmatched": st.lists(_FIRMS | _WORKERS, max_size=4, unique=True)},
+)
 
 
 def run(capsys, *argv: str):
@@ -49,6 +101,12 @@ class TestValidate:
         assert code == 2
         assert "f1: substitutable=NO" in out
         assert "f1 violates substitutability" in err
+
+    def test_lad_failure_names_agent(self, capsys, tmp_path):
+        code, out, err = run(capsys, "validate", write(tmp_path, "bad.json", NOT_LAD))
+        assert code == 2
+        assert "globex: substitutable=yes lad=NO" in out
+        assert err == "globex violates the law of aggregate demand\n"
 
     def test_cap_counts_acceptable_partners(self, capsys, tmp_path):
         # A 14-wide side; only f2, which accepts 13 workers, is past the cap.
@@ -281,17 +339,33 @@ class TestGen:
 
 class TestErrorPaths:
     @pytest.mark.parametrize(
-        "firm_prefs, mu",
+        "firm_prefs, mu, message",
         [
-            ({"f1": 5}, None),
-            ({"f1": None}, None),
-            ({"f1": [[["w1"]]]}, None),
-            (None, {"assignment": {"f1": [["w1"]]}}),
-            (None, {"assignment": {"f1": ["w1"]}, "unmatched": [1, "a"]}),
+            ({"f1": 5}, None, "f1: the ranking must be a list"),
+            ({"f1": None}, None, "f1: the ranking must be a list"),
+            ({"f1": [[["w1"]]]}, None, "f1: ranked set members must be strings"),
+            (["f1"], None, "'firm_prefs' must be an object"),
+            (None, {"assignment": {"f1": [["w1"]]}}, "f1: assigned workers must be strings"),
+            (None, {"assignment": {"f1": ["w1"]}, "unmatched": [1, "a"]}, "'unmatched' members must be strings"),
+            (None, ["f1"], "matching must be a JSON object"),
+            (None, {"assignment": ["f1"]}, "'assignment' must be an object"),
+            (None, {"assignment": {"f1": "w1"}}, "f1: assigned workers must be a list"),
+            (None, {"assignment": {"f1": ["w1"]}, "unmatched": "w6"}, "'unmatched' must be a list"),
         ],
-        ids=["ranking-int", "ranking-null", "member-list", "assigned-list", "unmatched-int"],
+        ids=[
+            "ranking-int",
+            "ranking-null",
+            "member-list",
+            "prefs-list",
+            "assigned-list",
+            "unmatched-int",
+            "matching-list",
+            "assignment-list",
+            "assigned-str",
+            "unmatched-str",
+        ],
     )
-    def test_wrong_json_types_exit_1(self, capsys, tmp_path, firm_prefs, mu):
+    def test_wrong_json_types_exit_1(self, capsys, tmp_path, firm_prefs, mu, message):
         market = json.loads((MARKETS_DIR / "example1.json").read_text())
         if firm_prefs is not None:
             market["firm_prefs"] = firm_prefs
@@ -300,7 +374,7 @@ class TestErrorPaths:
             argv = ["cycles", argv[1], "--mu", write(tmp_path, "mu.json", mu)]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -326,6 +400,25 @@ class TestErrorPaths:
         path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
         argv = ["validate", str(path)] if role == "market" else ["cycles", EX1, "--mu", str(path)]
         assert run(capsys, *argv) == (1, "", f"error: {path} is not UTF-8 text\n")
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        command=st.sampled_from(["validate", "enumerate", "oracle", "compare", "cycles", "reduce"]),
+        market=_MARKETS,
+        mu=_MATCHINGS,
+    )
+    def test_arbitrary_json_ends_in_a_documented_exit(self, capsys, tmp_path, command, market, mu):
+        argv = [command, write(tmp_path, "market.json", market)]
+        if command in ("cycles", "reduce"):
+            argv += ["--mu", write(tmp_path, "mu.json", mu)]
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        if code == 2 and command == "validate":  # the per-agent report, not an error
+            assert not errors and out
+        elif code:
+            assert len(errors) == 1 and err.startswith("error: ") and out == ""
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "enumerate", "/nonexistent.json")
@@ -356,3 +449,8 @@ class TestErrorPaths:
             },
         )
         assert run(capsys, "enumerate", market)[0] == 2
+
+    @pytest.mark.parametrize("command", ["enumerate", "mms", "compare"])
+    def test_axiom_violation_names_the_agent(self, capsys, tmp_path, command):
+        market = write(tmp_path, "bad.json", NOT_LAD)
+        assert run(capsys, command, market) == (2, "", "error: globex violates the law of aggregate demand\n")

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_profile
+from conftest import build_profile, small_markets
 from manymatch import (
     GenConfig,
     Side,
@@ -131,3 +131,17 @@ class TestBans:
         for bans in ((0,) * (n - 1), (0,) * (n + 1)):
             with pytest.raises(ValueError):
                 deferred_acceptance(ex1.profile, Side.FIRM, bans)
+
+
+class TestRoundLimit:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rounds_within_one_per_pair_plus_one(self, data):
+        """Each (proposer, receiver) pair is cut at most once and every round
+        but the last cuts one, whatever the lists and the bans."""
+        profile = data.draw(small_markets(max_side=4))
+        for side in Side:
+            n_prop, n_recv = profile.side_size(side), profile.opposite_size(side)
+            bans = tuple(data.draw(st.integers(0, (1 << n_recv) - 1)) for _ in range(n_prop))
+            _, trace = deferred_acceptance(profile, side, bans)
+            assert len(trace.rounds) <= n_prop * n_recv + 1

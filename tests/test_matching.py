@@ -7,12 +7,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_matching, build_profile, entries
+from conftest import build_matching, build_profile, entries, small_markets
 from manymatch import (
     CapExceeded,
     GenConfig,
     Matching,
-    Preference,
     Profile,
     Side,
     brute_force_stable_set,
@@ -179,24 +178,6 @@ def _textbook_diagnosis(profile: Profile, assign: tuple[int, ...]):
         and _choose(profile.worker_prefs[w].ranked, held[w] | 1 << f) >> f & 1
     ]
     return tuple(irrational), tuple(blocking)
-
-
-def _ranked_lists(width: int):
-    if not width:
-        return st.just(())
-    return st.lists(st.integers(1, (1 << width) - 1), unique=True, max_size=(1 << width) - 1).map(tuple)
-
-
-@st.composite
-def small_markets(draw) -> Profile:
-    """Up to 3x3, each agent ranking any distinct nonempty sets in any order."""
-    n_firms, n_workers = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    return Profile(
-        n_firms,
-        n_workers,
-        tuple(Preference(firm(f), draw(_ranked_lists(n_workers))) for f in range(n_firms)),
-        tuple(Preference(worker(w), draw(_ranked_lists(n_firms))) for w in range(n_workers)),
-    )
 
 
 class TestAgainstTheDefinition:

@@ -56,6 +56,10 @@ class TestMarketErrors:
             "worker_prefs": {"w1": [["f1"]], "w2": []},
         }
 
+    def test_market_not_an_object(self):
+        with pytest.raises(MarketFormatError, match="market must be a JSON object"):
+            parse_market([self.base()])
+
     def test_missing_side(self):
         with pytest.raises(MarketFormatError):
             parse_market({"workers": []})
