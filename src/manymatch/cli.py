@@ -15,7 +15,7 @@ from typing import Any
 
 from .core import DEFAULT_CHECK_CAP, CapExceeded, Side, _axiom_verdicts, bit_indices
 from .da import deferred_acceptance
-from .enumeration import AxiomViolation, compare_algorithms, mms_algorithm, stable_set
+from .enumeration import LAD, SUBSTITUTABILITY, AxiomViolation, compare_algorithms, mms_algorithm, stable_set
 from .gen import GenConfig, random_market
 from .matching import Matching, brute_force_stable_set
 from .reduction import NotComparable, NotStable, reduce_profile, reduce_to_worker_optimal
@@ -74,9 +74,9 @@ def _cmd_validate(args) -> int:
         name = profile.name(agent)
         print(f"{name}: substitutable={'yes' if sub else 'NO'} lad={'yes' if lad else 'NO'}")
         if not sub:
-            failures.append(AxiomViolation(agent, "substitutability", name))
+            failures.append(AxiomViolation(agent, SUBSTITUTABILITY, name))
         if not lad:
-            failures.append(AxiomViolation(agent, "law of aggregate demand", name))
+            failures.append(AxiomViolation(agent, LAD, name))
     if failures:
         for err in failures:
             print(err, file=sys.stderr)

@@ -30,14 +30,17 @@ from .matching import Matching, brute_force_stable_set
 from .reduction import reduce_profile
 
 
-class AxiomViolation(Exception):
-    """`agent` fails `axiom`; the message calls it `name`, its name in the
-    market, or by side and index when no name is given."""
+SUBSTITUTABILITY = "substitutability"
+LAD = "law of aggregate demand"
 
-    def __init__(self, agent: AgentId, axiom: str, name: str | None = None):
-        who = f"{agent.side.value} {agent.index}" if name is None else name
-        article = "the " if axiom == "law of aggregate demand" else ""
-        super().__init__(f"{who} violates {article}{axiom}")
+
+class AxiomViolation(Exception):
+    """`agent` fails `axiom` (SUBSTITUTABILITY or LAD); the message calls it
+    `name`, its name in the market."""
+
+    def __init__(self, agent: AgentId, axiom: str, name: str):
+        article = "the " if axiom == LAD else ""
+        super().__init__(f"{name} violates {article}{axiom}")
         self.agent = agent
         self.axiom = axiom
 
@@ -52,9 +55,9 @@ def validate_profile(profile: Profile, cap: int = DEFAULT_CHECK_CAP) -> None:
     for agent in profile.agents():
         substitutable, lad = _axiom_verdicts(profile, agent, cap)
         if not substitutable:
-            raise AxiomViolation(agent, "substitutability", profile.name(agent))
+            raise AxiomViolation(agent, SUBSTITUTABILITY, profile.name(agent))
         if not lad:
-            raise AxiomViolation(agent, "law of aggregate demand", profile.name(agent))
+            raise AxiomViolation(agent, LAD, profile.name(agent))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import json
 import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from conftest import MARKETS_DIR
 from manymatch.cli import main
@@ -65,6 +65,25 @@ _MATCHINGS = _with_junk(
     {"assignment": st.dictionaries(_FIRMS, st.lists(_WORKERS, max_size=2, unique=True), max_size=2)},
     {"unmatched": st.lists(_FIRMS | _WORKERS, max_size=4, unique=True)},
 )
+
+
+def _strings(obj):
+    """Every string in a JSON value, object keys included."""
+    if isinstance(obj, str):
+        yield obj
+    elif isinstance(obj, list):
+        for item in obj:
+            yield from _strings(item)
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield key
+            yield from _strings(value)
+
+
+def _prints_cleanly(text: str) -> bool:
+    """False for a newline or a lone surrogate, the two known ways a name
+    breaks CLI output (see the xfail cases in TestErrorPaths)."""
+    return "\n" not in text and not any(0xD800 <= ord(c) <= 0xDFFF for c in text)
 
 
 def run(capsys, *argv: str):
@@ -411,14 +430,29 @@ class TestErrorPaths:
         argv = [command, write(tmp_path, "market.json", market)]
         if command in ("cycles", "reduce"):
             argv += ["--mu", write(tmp_path, "mu.json", mu)]
+        # Known defects, pinned as xfail below, stay out of the draw so that
+        # every other input is held to a single error line.
+        assume(all(_prints_cleanly(text) for text in _strings([market, mu])))
         code, out, err = run(capsys, *argv)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
-        errors = [line for line in err.splitlines() if line.startswith("error:")]
         if code == 2 and command == "validate":  # the per-agent report, not an error
-            assert not errors and out
+            assert not err.startswith("error:") and out
         elif code:
-            assert len(errors) == 1 and err.startswith("error: ") and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
+
+    @pytest.mark.xfail(strict=True, reason="a newline in an agent name splits the error line")
+    def test_newline_in_a_name_keeps_one_error_line(self, capsys, tmp_path):
+        market = {"firms": ["a\nb"], "workers": [], "firm_prefs": {"a\nb": 5}, "worker_prefs": {}}
+        code, out, err = run(capsys, "enumerate", write(tmp_path, "market.json", market))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.xfail(strict=True, reason="validate cannot print a name holding a lone surrogate")
+    def test_lone_surrogate_in_a_name_validates(self, capsys, tmp_path):
+        path = tmp_path / "market.json"
+        path.write_text('{"firms": ["\\ud800"], "workers": [], "firm_prefs": {}, "worker_prefs": {}}')
+        assert run(capsys, "validate", str(path))[0] == 0
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "enumerate", "/nonexistent.json")
