@@ -15,13 +15,14 @@ from typing import Any
 
 from .core import DEFAULT_CHECK_CAP, CapExceeded, Side, _axiom_verdicts, bit_indices
 from .da import deferred_acceptance
-from .enumeration import LAD, SUBSTITUTABILITY, AxiomViolation, compare_algorithms, mms_algorithm, stable_set
+from .enumeration import AxiomViolation, _violations, compare_algorithms, mms_algorithm, stable_set
 from .gen import GenConfig, random_market
 from .matching import Matching, brute_force_stable_set
 from .reduction import NotComparable, NotStable, reduce_profile, reduce_to_worker_optimal
 from .cycles import find_cycles
 from .serialize import (
     MarketFormatError,
+    _set_names,
     cycle_to_obj,
     dumps,
     market_to_obj,
@@ -56,6 +57,12 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _printable(text: str) -> str:
+    """`text` with each unprintable character escaped as in a Python string
+    literal, so that an agent name can neither split a line nor fail to encode."""
+    return "".join(c if c.isprintable() else ascii(c)[1:-1] for c in text)
+
+
 def _fmt_matching(m: Matching, profile) -> str:
     parts = []
     for f in range(profile.n_firms):
@@ -68,20 +75,15 @@ def _cmd_validate(args) -> int:
     profile = parse_market(_load_json(args.market))
     # Every check runs before the first line is printed, so an agent past the
     # cap ends the command with no partial report on stdout.
-    verdicts = [(a, *_axiom_verdicts(profile, a, args.cap)) for a in profile.agents()]
+    verdicts = [(a, _axiom_verdicts(profile, a, args.cap)) for a in profile.agents()]
     failures = []
-    for agent, sub, lad in verdicts:
-        name = profile.name(agent)
-        print(f"{name}: substitutable={'yes' if sub else 'NO'} lad={'yes' if lad else 'NO'}")
-        if not sub:
-            failures.append(AxiomViolation(agent, SUBSTITUTABILITY, name))
-        if not lad:
-            failures.append(AxiomViolation(agent, LAD, name))
-    if failures:
-        for err in failures:
-            print(err, file=sys.stderr)
-        return 2
-    return 0
+    for agent, (sub, lad) in verdicts:
+        yes_no = f"substitutable={'yes' if sub else 'NO'} lad={'yes' if lad else 'NO'}"
+        print(_printable(f"{profile.name(agent)}: {yes_no}"))
+        failures += _violations(profile, agent, (sub, lad))
+    for err in failures:
+        print(_printable(str(err)), file=sys.stderr)
+    return 2 if failures else 0
 
 
 def _cmd_da(args) -> int:
@@ -97,7 +99,7 @@ def _cmd_da(args) -> int:
                 for p, mask in enumerate(rnd.proposals)
             )
             rejs = " ".join(f"{recv_names[r]}/{prop_names[p]}" for p, r in rnd.rejections) or "none"
-            print(f"round {t}: {offers}; rejections: {rejs}", file=sys.stderr)
+            print(_printable(f"round {t}: {offers}; rejections: {rejs}"), file=sys.stderr)
     _emit(dumps(matching_to_obj(m, profile)), None)
     return 0
 
@@ -106,8 +108,8 @@ def _cmd_enumerate(args) -> int:
     profile = parse_market(_load_json(args.market))
     matchings, trace = stable_set(profile)
     if args.trace:
-        print(f"step 1: mu_F = {_fmt_matching(trace.mu_firm, profile)}", file=sys.stderr)
-        print(f"step 1: mu_W = {_fmt_matching(trace.mu_worker, profile)}", file=sys.stderr)
+        print(_printable(f"step 1: mu_F = {_fmt_matching(trace.mu_firm, profile)}"), file=sys.stderr)
+        print(_printable(f"step 1: mu_W = {_fmt_matching(trace.mu_worker, profile)}"), file=sys.stderr)
         for step in trace.steps:
             for exp in step.expansions:
                 cyc = "; ".join(
@@ -116,8 +118,10 @@ def _cmd_enumerate(args) -> int:
                 ) or "none"
                 prod = ", ".join(_fmt_matching(m, profile) for m in exp.produced) or "none"
                 print(
-                    f"step {step.number}: expand {_fmt_matching(exp.source, profile)}"
-                    f" | cycles: {cyc} | produced: {prod}",
+                    _printable(
+                        f"step {step.number}: expand {_fmt_matching(exp.source, profile)}"
+                        f" | cycles: {cyc} | produced: {prod}"
+                    ),
                     file=sys.stderr,
                 )
     _emit(dumps([matching_to_obj(m, profile) for m in matchings]), args.out)
@@ -180,9 +184,9 @@ def _cmd_compare(args) -> int:
                 "failures": [
                     {
                         "worker": profile.worker_names[w],
-                        "offered": sorted(profile.firm_names[f] for f in bit_indices(offered)),
-                        "chosen": sorted(profile.firm_names[f] for f in bit_indices(chosen)),
-                        "required": sorted(profile.firm_names[f] for f in bit_indices(required)),
+                        "offered": _set_names(offered, profile.firm_names),
+                        "chosen": _set_names(chosen, profile.firm_names),
+                        "required": _set_names(required, profile.firm_names),
                     }
                     for w, offered, chosen, required in c.failures
                 ],
@@ -271,15 +275,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AxiomViolation as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except CapExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (ValueError, NotStable, NotComparable) as e:  # MarketFormatError is a ValueError
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    except (AxiomViolation, CapExceeded, ValueError, NotStable, NotComparable) as e:
+        # MarketFormatError is a ValueError: malformed input exits 1.
+        print(_printable(f"error: {e}"), file=sys.stderr)
+        return 2 if isinstance(e, AxiomViolation) else 3 if isinstance(e, CapExceeded) else 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
 MAX_SIDE = 64
-DEFAULT_CHECK_CAP = 12  # axiom checks tabulate 2^|acceptable partners| pools, drop chosen ones
+DEFAULT_CHECK_CAP = 12  # acceptable partners: axiom checks tabulate 2^k pools, gen draws at most k
 
 
 class CapExceeded(Exception):
@@ -266,7 +266,7 @@ def _axiom_verdicts(profile: Profile, agent: AgentId, cap: int) -> tuple[bool, b
     return substitutable, lad
 
 
-def is_substitutable(profile: Profile, agent: AgentId, cap: int = DEFAULT_CHECK_CAP) -> bool:
+def is_substitutable(profile: Profile, agent: AgentId) -> bool:
     """Exhaustive substitutability check.
 
     A chosen partner must stay chosen when other partners leave the pool.
@@ -275,10 +275,10 @@ def is_substitutable(profile: Profile, agent: AgentId, cap: int = DEFAULT_CHECK_
     subset form. Removing a partner that was not chosen leaves a ranked-list
     choice unchanged, so only the chosen partners x are tried.
     """
-    return _axiom_verdicts(profile, agent, cap)[0]
+    return _axiom_verdicts(profile, agent, DEFAULT_CHECK_CAP)[0]
 
 
-def satisfies_lad(profile: Profile, agent: AgentId, cap: int = DEFAULT_CHECK_CAP) -> bool:
+def satisfies_lad(profile: Profile, agent: AgentId) -> bool:
     """Law of aggregate demand: choice size is monotone in the pool.
 
     Checked in one-removal form (removing one partner from a pool never grows
@@ -287,7 +287,7 @@ def satisfies_lad(profile: Profile, agent: AgentId, cap: int = DEFAULT_CHECK_CAP
     not chosen leaves a ranked-list choice unchanged, so only the chosen
     partners are tried.
     """
-    return _axiom_verdicts(profile, agent, cap)[1]
+    return _axiom_verdicts(profile, agent, DEFAULT_CHECK_CAP)[1]
 
 
 def blair_geq(profile: Profile, agent: AgentId, s1: int, s2: int) -> bool:

@@ -45,7 +45,13 @@ class AxiomViolation(Exception):
         self.axiom = axiom
 
 
-def validate_profile(profile: Profile, cap: int = DEFAULT_CHECK_CAP) -> None:
+def _violations(profile: Profile, agent: AgentId, verdicts: tuple[bool, bool]) -> list[AxiomViolation]:
+    """An AxiomViolation per axiom the agent's (substitutable, lad) verdicts fail, substitutability first."""
+    axioms = (SUBSTITUTABILITY, LAD)
+    return [AxiomViolation(agent, a, profile.name(agent)) for a, ok in zip(axioms, verdicts) if not ok]
+
+
+def validate_profile(profile: Profile) -> None:
     """Raise AxiomViolation for the first agent failing substitutability or
     the law of aggregate demand.
 
@@ -53,11 +59,9 @@ def validate_profile(profile: Profile, cap: int = DEFAULT_CHECK_CAP) -> None:
     depends on both axioms, and failing fast beats returning a wrong set.
     """
     for agent in profile.agents():
-        substitutable, lad = _axiom_verdicts(profile, agent, cap)
-        if not substitutable:
-            raise AxiomViolation(agent, SUBSTITUTABILITY, profile.name(agent))
-        if not lad:
-            raise AxiomViolation(agent, LAD, profile.name(agent))
+        failures = _violations(profile, agent, _axiom_verdicts(profile, agent, DEFAULT_CHECK_CAP))
+        if failures:
+            raise failures[0]
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import AgentId, CapExceeded, MAX_SIDE, Preference, Profile, firm, mask_of, worker
-
-MAX_ACCEPTABLE = 12  # keeps ranked lists to at most 2^12 - 1 sets
+from .core import AgentId, CapExceeded, DEFAULT_CHECK_CAP, MAX_SIDE, Preference, Profile, firm, mask_of, worker
 
 
 @dataclass(frozen=True)
@@ -64,9 +62,9 @@ def _draw_preference(
     rng: random.Random, owner: AgentId, n_opposite: int, quota: int, prob: float
 ) -> Preference:
     pool = [i for i in range(n_opposite) if rng.random() < prob]
-    if len(pool) > MAX_ACCEPTABLE:
+    if len(pool) > DEFAULT_CHECK_CAP:
         raise CapExceeded(
-            f"{len(pool)} acceptable partners would rank more than 2^{MAX_ACCEPTABLE} sets"
+            f"{len(pool)} acceptable partners would rank more than 2^{DEFAULT_CHECK_CAP} sets"
         )
     _shuffle(rng, pool)  # pool[0] is the best individual
     rank = {agent: r for r, agent in enumerate(pool)}

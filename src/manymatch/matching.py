@@ -142,27 +142,13 @@ def brute_force_stable_set(profile: Profile, cap: int = 10_000_000) -> list[Matc
 def unanimous_blair_geq(profile: Profile, m1: Matching, m2: Matching, side: Side) -> bool:
     """True when every agent on `side` Blair-prefers its m1 match to its m2 match."""
     if side is Side.FIRM:
-        return all(
-            blair_geq(profile, firm(f), m1.assign[f], m2.assign[f])
-            for f in range(profile.n_firms)
-        )
-    v1, v2 = m1.worker_view(), m2.worker_view()
-    return all(
-        blair_geq(profile, worker(w), v1[w], v2[w]) for w in range(profile.n_workers)
-    )
+        ids, v1, v2 = firm, m1.assign, m2.assign
+    else:
+        ids, v1, v2 = worker, m1.worker_view(), m2.worker_view()
+    return all(blair_geq(profile, ids(i), v1[i], v2[i]) for i in range(profile.side_size(side)))
 
 
 def rural_hospitals_holds(matchings: Iterable[Matching]) -> bool:
     """True when every agent has the same number of partners in every matching."""
-    ms = list(matchings)
-    if len(ms) <= 1:
-        return True
-    first = ms[0]
-    firm_counts = [w.bit_count() for w in first.assign]
-    worker_counts = [fs.bit_count() for fs in first.worker_view()]
-    for m in ms[1:]:
-        if [w.bit_count() for w in m.assign] != firm_counts:
-            return False
-        if [fs.bit_count() for fs in m.worker_view()] != worker_counts:
-            return False
-    return True
+    counts = {tuple(s.bit_count() for s in (*m.assign, *m.worker_view())) for m in matchings}
+    return len(counts) <= 1

@@ -7,13 +7,22 @@ import json
 import os
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import MARKETS_DIR
 from manymatch.cli import main
 
 EX1 = str(MARKETS_DIR / "example1.json")
 EX2 = str(MARKETS_DIR / "example2.json")
+
+# A valid 1x1 market whose firm's name holds a newline, which the
+# human-readable lines print escaped, as `a\nb`.
+NEWLINE_NAME = {
+    "firms": ["a\nb"],
+    "workers": ["w"],
+    "firm_prefs": {"a\nb": [["w"]]},
+    "worker_prefs": {"w": [["a\nb"]]},
+}
 
 # globex's list is substitutable but fails LAD: it chooses {ann} from
 # {ann, bob, cy} but {bob, cy} once ann leaves.
@@ -65,25 +74,6 @@ _MATCHINGS = _with_junk(
     {"assignment": st.dictionaries(_FIRMS, st.lists(_WORKERS, max_size=2, unique=True), max_size=2)},
     {"unmatched": st.lists(_FIRMS | _WORKERS, max_size=4, unique=True)},
 )
-
-
-def _strings(obj):
-    """Every string in a JSON value, object keys included."""
-    if isinstance(obj, str):
-        yield obj
-    elif isinstance(obj, list):
-        for item in obj:
-            yield from _strings(item)
-    elif isinstance(obj, dict):
-        for key, value in obj.items():
-            yield key
-            yield from _strings(value)
-
-
-def _prints_cleanly(text: str) -> bool:
-    """False for a newline or a lone surrogate, the two known ways a name
-    breaks CLI output (see the xfail cases in TestErrorPaths)."""
-    return "\n" not in text and not any(0xD800 <= ord(c) <= 0xDFFF for c in text)
 
 
 def run(capsys, *argv: str):
@@ -147,6 +137,10 @@ class TestValidate:
         assert code == 0
         assert out.count("substitutable=yes lad=yes") == 16
 
+    def test_newline_in_a_name_keeps_one_line_per_agent(self, capsys, tmp_path):
+        code, out, err = run(capsys, "validate", write(tmp_path, "market.json", NEWLINE_NAME))
+        assert (code, out, err) == (0, "a\\nb: substitutable=yes lad=yes\nw: substitutable=yes lad=yes\n", "")
+
     def test_negative_cap_is_malformed_input(self, capsys):
         code, out, err = run(capsys, "validate", EX1, "--cap", "-1")
         assert (code, out, err) == (1, "", "error: cap must be non-negative, got -1\n")
@@ -182,6 +176,10 @@ class TestEnumerate:
     def test_trace_mentions_cycles(self, capsys):
         _, _, err = run(capsys, "enumerate", EX1, "--trace")
         assert "step 2" in err and "(w1,f1)" in err
+
+    def test_trace_keeps_one_line_per_step_with_a_newline_in_a_name(self, capsys, tmp_path):
+        code, _, err = run(capsys, "enumerate", write(tmp_path, "market.json", NEWLINE_NAME), "--trace")
+        assert (code, err) == (0, "step 1: mu_F = a\\nb:w\nstep 1: mu_W = a\\nb:w\n")
 
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "result.json"
@@ -430,9 +428,6 @@ class TestErrorPaths:
         argv = [command, write(tmp_path, "market.json", market)]
         if command in ("cycles", "reduce"):
             argv += ["--mu", write(tmp_path, "mu.json", mu)]
-        # Known defects, pinned as xfail below, stay out of the draw so that
-        # every other input is held to a single error line.
-        assume(all(_prints_cleanly(text) for text in _strings([market, mu])))
         code, out, err = run(capsys, *argv)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
@@ -441,18 +436,16 @@ class TestErrorPaths:
         elif code:
             assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
 
-    @pytest.mark.xfail(strict=True, reason="a newline in an agent name splits the error line")
     def test_newline_in_a_name_keeps_one_error_line(self, capsys, tmp_path):
         market = {"firms": ["a\nb"], "workers": [], "firm_prefs": {"a\nb": 5}, "worker_prefs": {}}
         code, out, err = run(capsys, "enumerate", write(tmp_path, "market.json", market))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.xfail(strict=True, reason="validate cannot print a name holding a lone surrogate")
     def test_lone_surrogate_in_a_name_validates(self, capsys, tmp_path):
         path = tmp_path / "market.json"
         path.write_text('{"firms": ["\\ud800"], "workers": [], "firm_prefs": {}, "worker_prefs": {}}')
-        assert run(capsys, "validate", str(path))[0] == 0
+        assert run(capsys, "validate", str(path)) == (0, "\\ud800: substitutable=yes lad=yes\n", "")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "enumerate", "/nonexistent.json")

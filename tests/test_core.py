@@ -26,7 +26,7 @@ from manymatch import (
     validate_profile,
     worker,
 )
-from manymatch.core import MAX_SIDE, AgentId, Side, _choice_table
+from manymatch.core import MAX_SIDE, AgentId, Side, _axiom_verdicts, _choice_table
 
 W = full_mask(6)
 
@@ -145,16 +145,17 @@ class TestSubstitutability:
         assert is_substitutable(small_profile(""), firm(0))
 
     def test_cap(self):
-        # The cap counts acceptable partners: 13 ranked singletons exceed it.
+        # The cap counts acceptable partners: 13 ranked singletons exceed the
+        # default, which the checkers always use; the kernel takes others.
         profile = lists_profile(tuple(1 << i for i in range(13)), width=13)
         with pytest.raises(CapExceeded):
             is_substitutable(profile, firm(0))
-        assert is_substitutable(profile, firm(0), cap=13)
+        assert _axiom_verdicts(profile, firm(0), 13) == (True, True)
 
     def test_negative_cap_is_rejected(self):
         # Even an agent that accepts no one: a negative cap is malformed.
         with pytest.raises(ValueError, match="non-negative"):
-            is_substitutable(small_profile(""), firm(0), cap=-1)
+            _axiom_verdicts(small_profile(""), firm(0), -1)
 
     @settings(max_examples=150)
     @given(ranked=ranked_lists)

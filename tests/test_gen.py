@@ -13,6 +13,7 @@ from manymatch import (
     random_market,
     satisfies_lad,
 )
+from manymatch.core import DEFAULT_CHECK_CAP
 
 configs = st.builds(
     GenConfig,
@@ -85,8 +86,10 @@ def test_quota_past_the_pool_changes_nothing():
 
 
 def test_acceptable_pool_cap():
-    with pytest.raises(CapExceeded):
-        random_market(GenConfig(1, 13, quota=2, acceptability_prob=1.0, seed=0))
+    # gen draws at most as many acceptable partners as the axiom checks take.
+    random_market(GenConfig(1, DEFAULT_CHECK_CAP, quota=2, acceptability_prob=1.0, seed=0))
+    with pytest.raises(CapExceeded, match=r"^13 acceptable partners would rank more than 2\^12 sets$"):
+        random_market(GenConfig(1, DEFAULT_CHECK_CAP + 1, quota=2, acceptability_prob=1.0, seed=0))
 
 
 def test_config_validation():

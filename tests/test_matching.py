@@ -143,6 +143,15 @@ class TestRuralHospitals:
     def test_detects_difference(self):
         assert not rural_hospitals_holds([Matching((1,), 1), Matching((0,), 1)])
 
+    def test_generator(self, ex1):
+        stable = brute_force_stable_set(ex1.profile)
+        assert rural_hospitals_holds(m for m in stable)
+        assert not rural_hospitals_holds(m for m in [*stable, Matching((0, 0, 0), 6)])
+
+    def test_empty(self):
+        assert rural_hospitals_holds([])
+        assert rural_hospitals_holds(iter(()))
+
 
 def test_every_generated_stable_matching_is_individually_rational():
     for seed in range(30):
