@@ -1,5 +1,10 @@
 """Command-line front end.
 
+`main` is the one pipeline: it parses the market, runs the command, which
+returns the JSON value of its result, and writes `dumps(value)` to stdout or
+`--out`. Two commands differ: `gen` reads no market, and `validate` prints a
+text report and returns its exit code.
+
 Exit codes: 0 success, 1 malformed input (parse/reference/contract errors),
 2 axiom violation, 3 combinatorial cap exceeded. Results go to stdout, traces
 and diagnostics to stderr; identical inputs and flags produce byte-identical
@@ -46,21 +51,14 @@ def _load_json(path: str) -> Any:
         raise MarketFormatError(f"{path} is nested too deeply") from None
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise MarketFormatError(f"cannot write {out}: {e.strerror}") from None
-    else:
-        sys.stdout.write(text)
-
-
 def _printable(text: str) -> str:
     """`text` with each unprintable character escaped as in a Python string
     literal, so that an agent name can neither split a line nor fail to encode."""
     return "".join(c if c.isprintable() else ascii(c)[1:-1] for c in text)
+
+
+def _note(text: str) -> None:
+    print(_printable(text), file=sys.stderr)
 
 
 def _fmt_matching(m: Matching, profile) -> str:
@@ -71,8 +69,11 @@ def _fmt_matching(m: Matching, profile) -> str:
     return " ".join(parts)
 
 
-def _cmd_validate(args) -> int:
-    profile = parse_market(_load_json(args.market))
+def _matchings(ms, profile) -> list:
+    return [matching_to_obj(m, profile) for m in ms]
+
+
+def _cmd_validate(profile, args) -> int:
     # Every check runs before the first line is printed, so an agent past the
     # cap ends the command with no partial report on stdout.
     verdicts = [(a, _axiom_verdicts(profile, a, args.cap)) for a in profile.agents()]
@@ -82,12 +83,11 @@ def _cmd_validate(args) -> int:
         print(_printable(f"{profile.name(agent)}: {yes_no}"))
         failures += _violations(profile, agent, (sub, lad))
     for err in failures:
-        print(_printable(str(err)), file=sys.stderr)
+        _note(str(err))
     return 2 if failures else 0
 
 
-def _cmd_da(args) -> int:
-    profile = parse_market(_load_json(args.market))
+def _cmd_da(profile, args):
     side = Side.FIRM if args.proposing == "firms" else Side.WORKER
     m, trace = deferred_acceptance(profile, side)
     if args.trace:
@@ -99,17 +99,15 @@ def _cmd_da(args) -> int:
                 for p, mask in enumerate(rnd.proposals)
             )
             rejs = " ".join(f"{recv_names[r]}/{prop_names[p]}" for p, r in rnd.rejections) or "none"
-            print(_printable(f"round {t}: {offers}; rejections: {rejs}"), file=sys.stderr)
-    _emit(dumps(matching_to_obj(m, profile)), None)
-    return 0
+            _note(f"round {t}: {offers}; rejections: {rejs}")
+    return matching_to_obj(m, profile)
 
 
-def _cmd_enumerate(args) -> int:
-    profile = parse_market(_load_json(args.market))
+def _cmd_enumerate(profile, args):
     matchings, trace = stable_set(profile)
     if args.trace:
-        print(_printable(f"step 1: mu_F = {_fmt_matching(trace.mu_firm, profile)}"), file=sys.stderr)
-        print(_printable(f"step 1: mu_W = {_fmt_matching(trace.mu_worker, profile)}"), file=sys.stderr)
+        _note(f"step 1: mu_F = {_fmt_matching(trace.mu_firm, profile)}")
+        _note(f"step 1: mu_W = {_fmt_matching(trace.mu_worker, profile)}")
         for step in trace.steps:
             for exp in step.expansions:
                 cyc = "; ".join(
@@ -117,62 +115,45 @@ def _cmd_enumerate(args) -> int:
                     for c in exp.cycles
                 ) or "none"
                 prod = ", ".join(_fmt_matching(m, profile) for m in exp.produced) or "none"
-                print(
-                    _printable(
-                        f"step {step.number}: expand {_fmt_matching(exp.source, profile)}"
-                        f" | cycles: {cyc} | produced: {prod}"
-                    ),
-                    file=sys.stderr,
+                _note(
+                    f"step {step.number}: expand {_fmt_matching(exp.source, profile)}"
+                    f" | cycles: {cyc} | produced: {prod}"
                 )
-    _emit(dumps([matching_to_obj(m, profile) for m in matchings]), args.out)
-    return 0
+    return _matchings(matchings, profile)
 
 
-def _cmd_reduce(args) -> int:
-    profile = parse_market(_load_json(args.market))
+def _cmd_reduce(profile, args):
     mu = parse_matching(_load_json(args.mu), profile)
     if args.mu_tilde:
         reduced = reduce_profile(profile, mu, parse_matching(_load_json(args.mu_tilde), profile))
     else:
         reduced = reduce_to_worker_optimal(profile, mu)
-    _emit(dumps(market_to_obj(reduced.materialized)), None)
-    return 0
+    return market_to_obj(reduced.materialized)
 
 
-def _cmd_cycles(args) -> int:
-    profile = parse_market(_load_json(args.market))
-    mu = parse_matching(_load_json(args.mu), profile)
-    reduced = reduce_to_worker_optimal(profile, mu)
-    cycles = find_cycles(reduced)
-    _emit(dumps([cycle_to_obj(c, profile) for c in cycles]), None)
-    return 0
+def _cmd_cycles(profile, args):
+    reduced = reduce_to_worker_optimal(profile, parse_matching(_load_json(args.mu), profile))
+    return [cycle_to_obj(c, profile) for c in find_cycles(reduced)]
 
 
-def _cmd_oracle(args) -> int:
-    profile = parse_market(_load_json(args.market))
-    matchings = brute_force_stable_set(profile)
-    _emit(dumps([matching_to_obj(m, profile) for m in matchings]), None)
-    return 0
+def _cmd_oracle(profile, args):
+    return _matchings(brute_force_stable_set(profile), profile)
 
 
-def _cmd_mms(args) -> int:
-    profile = parse_market(_load_json(args.market))
-    matchings, _ = mms_algorithm(profile)
-    _emit(dumps([matching_to_obj(m, profile) for m in matchings]), None)
-    return 0
+def _cmd_mms(profile, args):
+    return _matchings(mms_algorithm(profile)[0], profile)
 
 
-def _cmd_compare(args) -> int:
-    profile = parse_market(_load_json(args.market))
+def _cmd_compare(profile, args):
     report = compare_algorithms(profile)
-    obj = {
-        "oracle": [matching_to_obj(m, profile) for m in report.oracle],
-        "cycle_enumeration": [matching_to_obj(m, profile) for m in report.cycle_set],
-        "truncation_enumeration": [matching_to_obj(m, profile) for m in report.truncation_set],
+    return {
+        "oracle": _matchings(report.oracle, profile),
+        "cycle_enumeration": _matchings(report.cycle_set, profile),
+        "truncation_enumeration": _matchings(report.truncation_set, profile),
         "cycle_enumeration_matches_oracle": report.cycle_matches_oracle,
         "truncation_enumeration_matches_oracle": report.truncation_matches_oracle,
-        "missing_from_truncation": [matching_to_obj(m, profile) for m in report.missing_from_truncation],
-        "extra_in_truncation": [matching_to_obj(m, profile) for m in report.extra_in_truncation],
+        "missing_from_truncation": _matchings(report.missing_from_truncation, profile),
+        "extra_in_truncation": _matchings(report.extra_in_truncation, profile),
         "truncation_used_chained_rounds": report.truncation_trace.used_generic_step,
         "truncation_candidates": [
             {
@@ -194,11 +175,9 @@ def _cmd_compare(args) -> int:
             for c in report.truncation_trace.candidates
         ],
     }
-    _emit(dumps(obj), None)
-    return 0
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args):
     cfg = GenConfig(
         n_firms=args.firms,
         n_workers=args.workers,
@@ -206,9 +185,7 @@ def _cmd_gen(args) -> int:
         acceptability_prob=args.prob,
         seed=args.seed,
     )
-    profile = random_market(cfg)
-    _emit(dumps(market_to_obj(profile)), args.out)
-    return 0
+    return market_to_obj(random_market(cfg))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -218,47 +195,35 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("validate", help="per-agent substitutability and LAD report")
-    v.add_argument("market")
+    def market_command(name: str, func, help: str) -> argparse.ArgumentParser:
+        parser = sub.add_parser(name, help=help)
+        parser.add_argument("market")
+        parser.set_defaults(func=func)
+        return parser
+
+    v = market_command("validate", _cmd_validate, "per-agent substitutability and LAD report")
     v.add_argument(
         "--cap", type=int, default=DEFAULT_CHECK_CAP, help="exhaustive-check cap (acceptable partners)"
     )
-    v.set_defaults(func=_cmd_validate)
 
-    d = sub.add_parser("da", help="deferred acceptance from one side")
-    d.add_argument("market")
+    d = market_command("da", _cmd_da, "deferred acceptance from one side")
     d.add_argument("--proposing", choices=("firms", "workers"), required=True)
     d.add_argument("--trace", action="store_true", help="print rounds to stderr")
-    d.set_defaults(func=_cmd_da)
 
-    e = sub.add_parser("enumerate", help="the full stable set, via preference cycles")
-    e.add_argument("market")
+    e = market_command("enumerate", _cmd_enumerate, "the full stable set, via preference cycles")
     e.add_argument("--trace", action="store_true", help="print steps and cycles to stderr")
     e.add_argument("--out", help="write the JSON result to a file instead of stdout")
-    e.set_defaults(func=_cmd_enumerate)
 
-    r = sub.add_parser("reduce", help="reduced profile between two stable matchings")
-    r.add_argument("market")
+    r = market_command("reduce", _cmd_reduce, "reduced profile between two stable matchings")
     r.add_argument("--mu", required=True, help="matching JSON file (the Blair-better one)")
     r.add_argument("--mu-tilde", help="matching JSON file; defaults to the worker optimum")
-    r.set_defaults(func=_cmd_reduce)
 
-    c = sub.add_parser("cycles", help="all cycles of the profile reduced at --mu")
-    c.add_argument("market")
+    c = market_command("cycles", _cmd_cycles, "all cycles of the profile reduced at --mu")
     c.add_argument("--mu", required=True, help="matching JSON file")
-    c.set_defaults(func=_cmd_cycles)
 
-    o = sub.add_parser("oracle", help="brute-force stable set")
-    o.add_argument("market")
-    o.set_defaults(func=_cmd_oracle)
-
-    m = sub.add_parser("mms", help="truncation-based enumeration (may miss matchings)")
-    m.add_argument("market")
-    m.set_defaults(func=_cmd_mms)
-
-    cp = sub.add_parser("compare", help="cycle enumeration vs truncation vs oracle")
-    cp.add_argument("market")
-    cp.set_defaults(func=_cmd_compare)
+    market_command("oracle", _cmd_oracle, "brute-force stable set")
+    market_command("mms", _cmd_mms, "truncation-based enumeration (may miss matchings)")
+    market_command("compare", _cmd_compare, "cycle enumeration vs truncation vs oracle")
 
     g = sub.add_parser("gen", help="random market with both axioms by construction")
     g.add_argument("--firms", type=int, required=True)
@@ -274,10 +239,25 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "gen":  # the one command without a market
+            value = args.func(args)
+        else:
+            value = args.func(parse_market(_load_json(args.market)), args)
+            if args.command == "validate":  # its report is printed; the value is the exit code
+                return value
+        text = dumps(value)
+        if getattr(args, "out", None):
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as e:
+                raise MarketFormatError(f"cannot write {args.out}: {e.strerror}") from None
+        else:
+            sys.stdout.write(text)
+        return 0
     except (AxiomViolation, CapExceeded, ValueError, NotStable, NotComparable) as e:
         # MarketFormatError is a ValueError: malformed input exits 1.
-        print(_printable(f"error: {e}"), file=sys.stderr)
+        _note(f"error: {e}")
         return 2 if isinstance(e, AxiomViolation) else 3 if isinstance(e, CapExceeded) else 1
 
 

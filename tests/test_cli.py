@@ -5,6 +5,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -34,13 +35,21 @@ NOT_LAD = {
 }
 
 # Arbitrary JSON of bounded size, and market- and matching-shaped objects
-# over two firms and two workers with at most one field replaced by it, so
-# that inputs reach every stage from parsing to enumeration.
+# with at most one field replaced by it, so that inputs reach every stage from
+# parsing to enumeration. The shaped objects name two to four agents with
+# arbitrary text, including line breaks, escapes and a lone surrogate, so that
+# drawn names reach every line the CLI prints.
 _FIRMS, _WORKERS = st.sampled_from(["f1", "f2"]), st.sampled_from(["w1", "w2"])
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 2) | st.floats(allow_nan=False) | st.text(max_size=2) | _FIRMS,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_FIRMS | _WORKERS, inner, max_size=2),
     max_leaves=4,
+)
+_NAMES = st.lists(
+    st.text(st.characters(codec=None) | st.sampled_from("\n\r\x1b\u2028\ud800"), min_size=1, max_size=3),
+    min_size=2,
+    max_size=4,
+    unique=True,
 )
 
 
@@ -61,19 +70,25 @@ def _with_junk(draw, shaped: dict, optional: dict):
     return obj
 
 
-_MARKETS = _with_junk(
-    {
-        "firms": st.just(["f1", "f2"]),
-        "workers": st.just(["w1", "w2"]),
-        "firm_prefs": _rankings(_FIRMS, _WORKERS),
-        "worker_prefs": _rankings(_WORKERS, _FIRMS),
-    },
-    {},
-)
-_MATCHINGS = _with_junk(
-    {"assignment": st.dictionaries(_FIRMS, st.lists(_WORKERS, max_size=2, unique=True), max_size=2)},
-    {"unmatched": st.lists(_FIRMS | _WORKERS, max_size=4, unique=True)},
-)
+@st.composite
+def _market_and_matching(draw):
+    names = draw(_NAMES)
+    split = draw(st.integers(1, len(names) - 1))
+    firms, workers = st.sampled_from(names[:split]), st.sampled_from(names[split:])
+    market = _with_junk(
+        {
+            "firms": st.just(names[:split]),
+            "workers": st.just(names[split:]),
+            "firm_prefs": _rankings(firms, workers),
+            "worker_prefs": _rankings(workers, firms),
+        },
+        {},
+    )
+    matching = _with_junk(
+        {"assignment": st.dictionaries(firms, st.lists(workers, max_size=2, unique=True), max_size=2)},
+        {"unmatched": st.lists(firms | workers, max_size=4, unique=True)},
+    )
+    return draw(market), draw(matching)
 
 
 def run(capsys, *argv: str):
@@ -183,10 +198,8 @@ class TestEnumerate:
 
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "result.json"
-        code, out, _ = run(capsys, "enumerate", EX1, "--out", str(target))
-        assert code == 0
-        assert out == ""
-        assert len(json.loads(target.read_text())) == 4
+        assert run(capsys, "enumerate", EX1, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == run(capsys, "enumerate", EX1)[1].encode("utf-8")
 
 
 # The full `enumerate --trace` stderr and the `cycles --mu` result at every
@@ -232,7 +245,30 @@ GOLDEN_CYCLES = {
 }
 
 
+# Exit code, stdout and stderr of every command on both shipped markets and
+# of one fixed `gen`, byte for byte, keyed by the command line. `MU_F` stands
+# for a file holding the firm optimum, as `da --proposing firms` prints it.
+CLI_GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+def golden_argv(tmp_path, command_line: str) -> list[str]:
+    argv = command_line.split()
+    for i, arg in enumerate(argv):
+        if arg.startswith("markets/"):
+            market = arg
+            argv[i] = str(MARKETS_DIR / arg.removeprefix("markets/"))
+        elif arg == "MU_F":
+            mu_f = CLI_GOLDEN[f"da {market} --proposing firms --trace"][1]
+            argv[i] = str(tmp_path / "mu_f.json")
+            Path(argv[i]).write_text(mu_f, encoding="utf-8")
+    return argv
+
+
 class TestGoldenOutput:
+    @pytest.mark.parametrize("command_line", sorted(CLI_GOLDEN))
+    def test_every_command(self, capsys, tmp_path, command_line):
+        assert list(run(capsys, *golden_argv(tmp_path, command_line))) == CLI_GOLDEN[command_line]
+
     @pytest.mark.parametrize("market", [EX1, EX2], ids=["example1", "example2"])
     def test_enumerate_trace(self, capsys, market):
         code, _, err = run(capsys, "enumerate", market, "--trace")
@@ -335,15 +371,13 @@ class TestComparisonCommands:
 
 class TestGen:
     def test_gen_validates_and_is_deterministic(self, capsys, tmp_path):
+        argv = ["gen", "--firms", "3", "--workers", "4", "--quota", "2", "--prob", "0.6", "--seed", "42"]
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         for target in (a, b):
-            code, _, _ = run(
-                capsys, "gen", "--firms", "3", "--workers", "4", "--quota", "2",
-                "--prob", "0.6", "--seed", "42", "--out", str(target),
-            )
-            assert code == 0
-        assert a.read_text() == b.read_text()
+            assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+        # --out writes exactly the bytes stdout would.
+        assert a.read_bytes() == b.read_bytes() == run(capsys, *argv)[1].encode("utf-8")
         assert run(capsys, "validate", str(a))[0] == 0
 
     def test_gen_cap_exceeded(self, capsys):
@@ -420,18 +454,34 @@ class TestErrorPaths:
 
     @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
-        command=st.sampled_from(["validate", "enumerate", "oracle", "compare", "cycles", "reduce"]),
-        market=_MARKETS,
-        mu=_MATCHINGS,
+        command=st.sampled_from(
+            [
+                ["validate"],
+                ["da", "--proposing", "firms", "--trace"],
+                ["da", "--proposing", "workers", "--trace"],
+                ["enumerate"],
+                ["enumerate", "--trace"],
+                ["oracle"],
+                ["mms"],
+                ["compare"],
+                ["cycles", "--mu"],
+                ["reduce", "--mu"],
+            ]
+        ),
+        market_and_mu=_market_and_matching(),
     )
-    def test_arbitrary_json_ends_in_a_documented_exit(self, capsys, tmp_path, command, market, mu):
-        argv = [command, write(tmp_path, "market.json", market)]
-        if command in ("cycles", "reduce"):
-            argv += ["--mu", write(tmp_path, "mu.json", mu)]
+    def test_arbitrary_json_ends_in_a_documented_exit(self, capsys, tmp_path, command, market_and_mu):
+        market, mu = market_and_mu
+        argv = [command[0], write(tmp_path, "market.json", market), *command[1:]]
+        if argv[-1] == "--mu":
+            argv.append(write(tmp_path, "mu.json", mu))
         code, out, err = run(capsys, *argv)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
-        if code == 2 and command == "validate":  # the per-agent report, not an error
+        # Every drawn name is printed escaped: no line break, escape or
+        # surrogate reaches the terminal.
+        assert (out + err).replace("\n", "").isprintable()
+        if code == 2 and command == ["validate"]:  # the per-agent report, not an error
             assert not err.startswith("error:") and out
         elif code:
             assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
