@@ -5,10 +5,10 @@ returns the JSON value of its result, and writes `dumps(value)` to stdout or
 `--out`. Two commands differ: `gen` reads no market, and `validate` prints a
 text report and returns its exit code.
 
-Exit codes: 0 success, 1 malformed input (parse/reference/contract errors),
-2 axiom violation, 3 combinatorial cap exceeded. Results go to stdout, traces
-and diagnostics to stderr; identical inputs and flags produce byte-identical
-output.
+Exit codes: 0 success, 1 malformed input (a malformed command line, or
+parse/reference/contract errors), 2 axiom violation, 3 combinatorial cap
+exceeded. Results go to stdout, traces and diagnostics to stderr; identical
+inputs and flags produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -38,9 +38,17 @@ from .serialize import (
 
 
 def _load_json(path: str) -> Any:
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise MarketFormatError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except OSError as e:
         raise MarketFormatError(f"cannot read {path}: {e.strerror}") from None
     except UnicodeDecodeError:
@@ -188,8 +196,15 @@ def _cmd_gen(args):
     return market_to_obj(random_market(cfg))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Sends a usage error to `main`'s one error path instead of exiting 2."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="manymatch",
         description="Stable matchings of many-to-many markets with set preferences.",
     )
@@ -237,8 +252,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "gen":  # the one command without a market
             value = args.func(args)
         else:

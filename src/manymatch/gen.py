@@ -66,20 +66,13 @@ def _draw_preference(
         raise CapExceeded(
             f"{len(pool)} acceptable partners would rank more than 2^{DEFAULT_CHECK_CAP} sets"
         )
-    _shuffle(rng, pool)  # pool[0] is the best individual
-    rank = {agent: r for r, agent in enumerate(pool)}
-    pad = n_opposite  # sorts after every real rank
-    longest = min(quota, len(pool))  # keys differ within their first `longest` places
-
-    def key(subset: tuple[int, ...]) -> tuple[int, ...]:
-        ranks = sorted(rank[x] for x in subset)
-        return tuple(ranks) + (pad,) * (longest - len(ranks))
-
-    subsets = [
-        s for size in range(1, longest + 1) for s in combinations(pool, size)
-    ]
-    subsets.sort(key=key)
-    return Preference(owner, tuple(mask_of(s) for s in subsets))
+    _shuffle(rng, pool)  # pool[r] is the individual of rank r; 0 is the best
+    # A subset is a tuple of ascending ranks. Padding it with a rank worse than
+    # any real one ranks each set above its own subsets.
+    pad = (n_opposite,) * min(quota, len(pool))
+    subsets = [s for size in range(1, len(pad) + 1) for s in combinations(range(len(pool)), size)]
+    subsets.sort(key=lambda ranks: ranks + pad[len(ranks):])
+    return Preference(owner, tuple(mask_of(pool[r] for r in s) for s in subsets))
 
 
 def _shuffle(rng: random.Random, xs: list) -> None:

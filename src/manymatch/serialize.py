@@ -20,24 +20,27 @@ class MarketFormatError(ValueError):
     """Malformed or inconsistent market/matching JSON."""
 
 
-def _all_names(values: list) -> bool:
-    return all(isinstance(x, str) for x in values)
-
-
-def _names(obj: Any, key: str) -> list[str]:
-    value = obj.get(key)
-    if not isinstance(value, list) or not _all_names(value):
-        raise MarketFormatError(f"'{key}' must be a list of strings")
+def _names(value: Any, where: str) -> list[str]:
+    """`value` as a list of distinct names; `where` says which list it is."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise MarketFormatError(f"{where} must be a list of strings")
     if len(set(value)) != len(value):
-        raise MarketFormatError(f"duplicate names in '{key}'")
+        raise MarketFormatError(f"{where} repeats a name")
     return value
+
+
+def _mask(names: list[str], index: dict[str, int], owner: str) -> int:
+    try:
+        return mask_of(index[x] for x in names)
+    except KeyError as e:
+        raise MarketFormatError(f"{owner}: unknown name {e.args[0]!r}") from None
 
 
 def parse_market(obj: Any) -> Profile:
     if not isinstance(obj, dict):
         raise MarketFormatError("market must be a JSON object")
-    firms = _names(obj, "firms")
-    workers = _names(obj, "workers")
+    firms = _names(obj.get("firms"), "'firms'")
+    workers = _names(obj.get("workers"), "'workers'")
     if set(firms) & set(workers):
         raise MarketFormatError("firm and worker names must not collide")
 
@@ -56,16 +59,9 @@ def parse_market(obj: Any) -> Profile:
                 raise MarketFormatError(f"{name}: the ranking must be a list of ranked sets")
             ranked = []
             for entry in entries:
-                if not isinstance(entry, list) or not entry:
-                    raise MarketFormatError(f"{name}: every ranked set must be a nonempty list")
-                if not _all_names(entry):
-                    raise MarketFormatError(f"{name}: ranked set members must be strings")
-                if len(set(entry)) != len(entry):
-                    raise MarketFormatError(f"{name}: repeated member in {entry}")
-                try:
-                    mask = mask_of(index[p] for p in entry)
-                except KeyError as e:
-                    raise MarketFormatError(f"{name}: unknown partner {e.args[0]!r}") from None
+                mask = _mask(_names(entry, f"{name}: a ranked set"), index, name)
+                if not mask:
+                    raise MarketFormatError(f"{name}: a ranked set is empty")
                 if mask in ranked:
                     raise MarketFormatError(f"{name}: set {sorted(entry)} ranked twice")
                 ranked.append(mask)
@@ -110,24 +106,10 @@ def parse_matching(obj: Any, profile: Profile) -> Matching:
     for name, members in assignment.items():
         if name not in findex:
             raise MarketFormatError(f"unknown firm {name!r} in assignment")
-        if not isinstance(members, list):
-            raise MarketFormatError(f"{name}: assigned workers must be a list")
-        if not _all_names(members):
-            raise MarketFormatError(f"{name}: assigned workers must be strings")
-        if len(set(members)) != len(members):
-            raise MarketFormatError(f"{name}: worker assigned twice")
-        try:
-            assign[findex[name]] = mask_of(windex[w] for w in members)
-        except KeyError as e:
-            raise MarketFormatError(f"{name}: unknown worker {e.args[0]!r}") from None
+        assign[findex[name]] = _mask(_names(members, f"{name}: assigned workers"), windex, name)
     m = Matching(tuple(assign), profile.n_workers)
     if "unmatched" in obj:
-        stated = obj["unmatched"]
-        if not isinstance(stated, list):
-            raise MarketFormatError("'unmatched' must be a list")
-        if not _all_names(stated):
-            raise MarketFormatError("'unmatched' members must be strings")
-        if sorted(stated) != sorted(_unmatched_names(m, profile)):
+        if sorted(_names(obj["unmatched"], "'unmatched'")) != sorted(_unmatched_names(m, profile)):
             raise MarketFormatError("'unmatched' is inconsistent with the assignment")
     return m
 

@@ -394,10 +394,13 @@ class TestErrorPaths:
         [
             ({"f1": 5}, None, "f1: the ranking must be a list"),
             ({"f1": None}, None, "f1: the ranking must be a list"),
-            ({"f1": [[["w1"]]]}, None, "f1: ranked set members must be strings"),
+            ({"f1": [[["w1"]]]}, None, "f1: a ranked set must be a list of strings"),
+            ({"f1": [[]]}, None, "f1: a ranked set is empty"),
             (["f1"], None, "'firm_prefs' must be an object"),
-            (None, {"assignment": {"f1": [["w1"]]}}, "f1: assigned workers must be strings"),
-            (None, {"assignment": {"f1": ["w1"]}, "unmatched": [1, "a"]}, "'unmatched' members must be strings"),
+            (None, {"assignment": {"f1": [["w1"]]}}, "f1: assigned workers must be a list of strings"),
+            (None, {"assignment": {"f1": ["w1", "w1"]}}, "f1: assigned workers repeats a name"),
+            (None, {"assignment": {"f1": ["w1"]}, "unmatched": [1, "a"]}, "'unmatched' must be a list of strings"),
+            (None, {"assignment": {"f1": ["w1"]}, "unmatched": ["w6", "w6"]}, "'unmatched' repeats a name"),
             (None, ["f1"], "matching must be a JSON object"),
             (None, {"assignment": ["f1"]}, "'assignment' must be an object"),
             (None, {"assignment": {"f1": "w1"}}, "f1: assigned workers must be a list"),
@@ -407,9 +410,12 @@ class TestErrorPaths:
             "ranking-int",
             "ranking-null",
             "member-list",
+            "ranked-set-empty",
             "prefs-list",
             "assigned-list",
+            "assigned-repeat",
             "unmatched-int",
+            "unmatched-repeat",
             "matching-list",
             "assignment-list",
             "assigned-str",
@@ -427,6 +433,40 @@ class TestErrorPaths:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["da", EX1], "the following arguments are required: --proposing"),
+            (["validate", EX1, "--cap", "x"], "argument --cap: invalid int value: 'x'"),
+            ([], "the following arguments are required: command"),
+            (["enumerate", EX1, "--bogus"], "unrecognized arguments: --bogus"),
+        ],
+        ids=["missing-option", "bad-int", "no-command", "unknown-option"],
+    )
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["da", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exit_.value.code, err) == (0, "") and out.startswith("usage: manymatch")
+
+    @pytest.mark.parametrize("role", ["market", "mu"])
+    def test_duplicate_key_exits_1(self, capsys, tmp_path, role):
+        path = tmp_path / "dup.json"
+        if role == "market":
+            path.write_text(
+                '{"firms": ["f1"], "workers": ["w1", "w2"], "firm_prefs": {"f1": [["w1"]], "f1": [["w2"]]},'
+                ' "worker_prefs": {"w1": [["f1"]], "w2": [["f1"]]}}'
+            )
+            argv = ["enumerate", str(path)]
+        else:
+            path.write_text('{"assignment": {"f1": ["w1", "w2"], "f1": ["w3"]}}')
+            argv = ["cycles", EX1, "--mu", str(path)]
+        assert run(capsys, *argv) == (1, "", f"error: {path}: duplicate key 'f1'\n")
 
     @pytest.mark.parametrize(
         "argv", [["enumerate", EX1], ["gen", "--firms", "2", "--workers", "2"]], ids=["enumerate", "gen"]
