@@ -54,7 +54,9 @@ from .reduction import (
 )
 from .serialize import (
     MarketFormatError,
+    comparison_to_obj,
     cycle_to_obj,
+    load_json,
     market_to_obj,
     matching_to_obj,
     parse_market,

@@ -1,9 +1,9 @@
 """Command-line front end.
 
-`main` is the one pipeline: it parses the market, runs the command, which
-returns the JSON value of its result, and writes `dumps(value)` to stdout or
-`--out`. Two commands differ: `gen` reads no market, and `validate` prints a
-text report and returns its exit code.
+`main` is the one pipeline: it reads the market with `serialize.load_json`,
+runs the command, which returns its result as a JSON value that `serialize`
+shapes, and writes `dumps(value)` to stdout or `--out`. `gen` reads no
+market; `validate` prints a text report and returns its exit code.
 
 Exit codes: 0 success, 1 malformed input (a malformed command line, or
 parse/reference/contract errors), 2 axiom violation, 3 combinatorial cap
@@ -14,9 +14,7 @@ inputs and flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Any
 
 from .core import DEFAULT_CHECK_CAP, CapExceeded, Side, _axiom_verdicts, bit_indices
 from .da import deferred_acceptance
@@ -27,36 +25,15 @@ from .reduction import NotComparable, NotStable, reduce_profile, reduce_to_worke
 from .cycles import find_cycles
 from .serialize import (
     MarketFormatError,
-    _set_names,
+    comparison_to_obj,
     cycle_to_obj,
     dumps,
+    load_json,
     market_to_obj,
     matching_to_obj,
     parse_market,
     parse_matching,
 )
-
-
-def _load_json(path: str) -> Any:
-    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
-        obj = {}
-        for key, value in pairs:
-            if key in obj:
-                raise MarketFormatError(f"{path}: duplicate key {key!r}")
-            obj[key] = value
-        return obj
-
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=unique_keys)
-    except OSError as e:
-        raise MarketFormatError(f"cannot read {path}: {e.strerror}") from None
-    except UnicodeDecodeError:
-        raise MarketFormatError(f"{path} is not UTF-8 text") from None
-    except json.JSONDecodeError as e:
-        raise MarketFormatError(f"{path} is not valid JSON: {e}") from None
-    except RecursionError:
-        raise MarketFormatError(f"{path} is nested too deeply") from None
 
 
 def _printable(text: str) -> str:
@@ -75,10 +52,6 @@ def _fmt_matching(m: Matching, profile) -> str:
         ws = "".join(profile.worker_names[w] for w in bit_indices(m.assign[f]))
         parts.append(f"{profile.firm_names[f]}:{ws or '-'}")
     return " ".join(parts)
-
-
-def _matchings(ms, profile) -> list:
-    return [matching_to_obj(m, profile) for m in ms]
 
 
 def _cmd_validate(profile, args) -> int:
@@ -127,62 +100,33 @@ def _cmd_enumerate(profile, args):
                     f"step {step.number}: expand {_fmt_matching(exp.source, profile)}"
                     f" | cycles: {cyc} | produced: {prod}"
                 )
-    return _matchings(matchings, profile)
+    return [matching_to_obj(m, profile) for m in matchings]
 
 
 def _cmd_reduce(profile, args):
-    mu = parse_matching(_load_json(args.mu), profile)
+    mu = parse_matching(load_json(args.mu), profile)
     if args.mu_tilde:
-        reduced = reduce_profile(profile, mu, parse_matching(_load_json(args.mu_tilde), profile))
+        reduced = reduce_profile(profile, mu, parse_matching(load_json(args.mu_tilde), profile))
     else:
         reduced = reduce_to_worker_optimal(profile, mu)
     return market_to_obj(reduced.materialized)
 
 
 def _cmd_cycles(profile, args):
-    reduced = reduce_to_worker_optimal(profile, parse_matching(_load_json(args.mu), profile))
+    reduced = reduce_to_worker_optimal(profile, parse_matching(load_json(args.mu), profile))
     return [cycle_to_obj(c, profile) for c in find_cycles(reduced)]
 
 
 def _cmd_oracle(profile, args):
-    return _matchings(brute_force_stable_set(profile), profile)
+    return [matching_to_obj(m, profile) for m in brute_force_stable_set(profile)]
 
 
 def _cmd_mms(profile, args):
-    return _matchings(mms_algorithm(profile)[0], profile)
+    return [matching_to_obj(m, profile) for m in mms_algorithm(profile)[0]]
 
 
 def _cmd_compare(profile, args):
-    report = compare_algorithms(profile)
-    return {
-        "oracle": _matchings(report.oracle, profile),
-        "cycle_enumeration": _matchings(report.cycle_set, profile),
-        "truncation_enumeration": _matchings(report.truncation_set, profile),
-        "cycle_enumeration_matches_oracle": report.cycle_matches_oracle,
-        "truncation_enumeration_matches_oracle": report.truncation_matches_oracle,
-        "missing_from_truncation": _matchings(report.missing_from_truncation, profile),
-        "extra_in_truncation": _matchings(report.extra_in_truncation, profile),
-        "truncation_used_chained_rounds": report.truncation_trace.used_generic_step,
-        "truncation_candidates": [
-            {
-                "step": c.step,
-                "source": matching_to_obj(c.source, profile),
-                "pair": [profile.firm_names[c.pair[0]], profile.worker_names[c.pair[1]]],
-                "candidate": matching_to_obj(c.candidate, profile),
-                "accepted": c.accepted,
-                "failures": [
-                    {
-                        "worker": profile.worker_names[w],
-                        "offered": _set_names(offered, profile.firm_names),
-                        "chosen": _set_names(chosen, profile.firm_names),
-                        "required": _set_names(required, profile.firm_names),
-                    }
-                    for w, offered, chosen, required in c.failures
-                ],
-            }
-            for c in report.truncation_trace.candidates
-        ],
-    }
+    return comparison_to_obj(compare_algorithms(profile), profile)
 
 
 def _cmd_gen(args):
@@ -257,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gen":  # the one command without a market
             value = args.func(args)
         else:
-            value = args.func(parse_market(_load_json(args.market)), args)
+            value = args.func(parse_market(load_json(args.market)), args)
             if args.command == "validate":  # its report is printed; the value is the exit code
                 return value
         text = dumps(value)

@@ -1,9 +1,9 @@
-"""JSON interchange for markets, matchings, and cycles.
+"""JSON interchange: the one module that knows the file format.
 
-One human-writable schema for markets (ranked lists of name lists) that also
-serves for serializing reduced profiles, and a firm-keyed assignment schema
-for matchings. Parsing validates references and set-ness; emitting sorts set
-members by name so identical values always serialize to identical bytes.
+`load_json` reads every file, for the library and the CLI, and refuses a
+repeated key. Markets and reduced profiles share one schema (ranked lists of
+name lists); matchings use a firm-keyed assignment. Parsing checks names and
+set-ness. Every JSON result is shaped here, sorted by name for stable bytes.
 """
 
 from __future__ import annotations
@@ -13,11 +13,34 @@ from typing import Any
 
 from .core import Preference, Profile, bit_indices, firm, mask_of, worker
 from .cycles import Cycle
+from .enumeration import ComparisonReport
 from .matching import Matching
 
 
 class MarketFormatError(ValueError):
     """Malformed or inconsistent market/matching JSON."""
+
+
+def load_json(path: str) -> Any:
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise MarketFormatError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=unique_keys)
+    except OSError as e:
+        raise MarketFormatError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise MarketFormatError(f"{path} is not UTF-8 text") from None
+    except json.JSONDecodeError as e:
+        raise MarketFormatError(f"{path} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise MarketFormatError(f"{path} is nested too deeply") from None
 
 
 def _names(value: Any, where: str) -> list[str]:
@@ -37,6 +60,7 @@ def _mask(names: list[str], index: dict[str, int], owner: str) -> int:
 
 
 def parse_market(obj: Any) -> Profile:
+    """A decoded object can no longer show a repeated key: read files with `load_json`."""
     if not isinstance(obj, dict):
         raise MarketFormatError("market must be a JSON object")
     firms = _names(obj.get("firms"), "'firms'")
@@ -57,14 +81,14 @@ def parse_market(obj: Any) -> Profile:
             entries = raw.get(name, [])
             if not isinstance(entries, list):
                 raise MarketFormatError(f"{name}: the ranking must be a list of ranked sets")
-            ranked = []
+            ranked = {}  # an ordered set: a repeat is found without a scan
             for entry in entries:
                 mask = _mask(_names(entry, f"{name}: a ranked set"), index, name)
                 if not mask:
                     raise MarketFormatError(f"{name}: a ranked set is empty")
                 if mask in ranked:
                     raise MarketFormatError(f"{name}: set {sorted(entry)} ranked twice")
-                ranked.append(mask)
+                ranked[mask] = None
             prefs.append(Preference(make_owner(i), tuple(ranked)))
         return tuple(prefs)
 
@@ -129,6 +153,38 @@ def matching_to_obj(m: Matching, profile: Profile) -> dict:
             if m.assign[f]
         },
         "unmatched": _unmatched_names(m, profile),
+    }
+
+
+def comparison_to_obj(report: ComparisonReport, profile: Profile) -> dict:
+    return {
+        "oracle": [matching_to_obj(m, profile) for m in report.oracle],
+        "cycle_enumeration": [matching_to_obj(m, profile) for m in report.cycle_set],
+        "truncation_enumeration": [matching_to_obj(m, profile) for m in report.truncation_set],
+        "cycle_enumeration_matches_oracle": report.cycle_matches_oracle,
+        "truncation_enumeration_matches_oracle": report.truncation_matches_oracle,
+        "missing_from_truncation": [matching_to_obj(m, profile) for m in report.missing_from_truncation],
+        "extra_in_truncation": [matching_to_obj(m, profile) for m in report.extra_in_truncation],
+        "truncation_used_chained_rounds": report.truncation_trace.used_generic_step,
+        "truncation_candidates": [
+            {
+                "step": c.step,
+                "source": matching_to_obj(c.source, profile),
+                "pair": [profile.firm_names[c.pair[0]], profile.worker_names[c.pair[1]]],
+                "candidate": matching_to_obj(c.candidate, profile),
+                "accepted": c.accepted,
+                "failures": [
+                    {
+                        "worker": profile.worker_names[w],
+                        "offered": _set_names(offered, profile.firm_names),
+                        "chosen": _set_names(chosen, profile.firm_names),
+                        "required": _set_names(required, profile.firm_names),
+                    }
+                    for w, offered, chosen, required in c.failures
+                ],
+            }
+            for c in report.truncation_trace.candidates
+        ],
     }
 
 

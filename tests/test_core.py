@@ -473,3 +473,11 @@ class TestProfileInvariants:
     def test_wrong_owner_rejected(self):
         with pytest.raises(ValueError):
             Profile(1, 1, (Preference(firm(0), ()),), (Preference(worker(1), ()),))
+
+    def test_one_list_per_agent(self):
+        with pytest.raises(ValueError, match="one preference list required per agent"):
+            Profile(2, 1, (Preference(firm(0), ()),), (Preference(worker(0), ()),))
+
+    def test_one_name_per_agent(self):
+        with pytest.raises(ValueError, match="one name required per agent"):
+            Profile(1, 1, (Preference(firm(0), ()),), (Preference(worker(0), ()),), ("a", "b"))

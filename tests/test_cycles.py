@@ -2,23 +2,29 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import golden
+from conftest import build_profile
 from manymatch import (
     Cycle,
     GenConfig,
+    Matching,
     Side,
     bit_indices,
     brute_force_stable_set,
     cyclic_matching,
     deferred_acceptance,
     find_cycles,
+    firm,
+    full_mask,
     random_market,
     reduce_profile,
     rural_hospitals_holds,
     stability,
     unanimous_blair_geq,
+    worker,
 )
 from manymatch.cycles import _successors, satisfies_cycle_conditions
 
@@ -30,6 +36,60 @@ markets = st.builds(
     st.sampled_from([0.6, 0.9, 1.0]),
     st.integers(0, 100_000),
 )
+
+
+def reference_successors(reduced) -> dict:
+    """The successor map read off its definition, with no shortcut: every v1
+    pair (w', f') is tried as the successor of every v1 pair (w, f)."""
+    mu, mu_tilde = reduced.mu, reduced.mu_tilde
+    wv_mu = mu.worker_view()
+    v1 = sorted(
+        (w, f)
+        for f in range(reduced.base.n_firms)
+        for w in bit_indices(mu.assign[f] & ~mu_tilde.assign[f])
+    )
+    succ = {}
+    for w, f in v1:
+        firm_pool = full_mask(reduced.base.n_workers) & ~(1 << w)
+        for w_next, f_next in v1:
+            if mu.assign[f] >> w_next & 1 or wv_mu[w_next] >> f & 1:
+                continue
+            firm_takes = mu.assign[f] & ~(1 << w) | 1 << w_next
+            worker_takes = wv_mu[w_next] & ~(1 << f_next) | 1 << f
+            if (
+                reduced.choice_reduced(firm(f), firm_pool) == firm_takes
+                and reduced.choice_reduced(worker(w_next), wv_mu[w_next] | 1 << f) == worker_takes
+            ):
+                succ[(w, f)] = (w_next, f_next)
+    return succ
+
+
+# Markets on which a guard of `_successors` is the only thing that keeps a
+# v1 pair from a wrong successor: firm rows, worker rows, mu, mu_tilde. They
+# fail the axioms, which neither `reduce_profile` nor `find_cycles` checks.
+GUARD_MARKETS = {
+    # f's choice without w is not mu(f) - w plus exactly one new worker.
+    "firm-shape": (
+        ["w1w3,w2w3,w1w2w3", "w1w2,w3,w2,w1w3", "w1w2"],
+        ["f3,f2,f1f2,f1f2f3,f2f3", "f1f3,f1f2,f1f2f3,f3", "f1f3,f1f2,f1,f2,f3,f2f3"],
+        (6, 3, 0),
+        (0, 4, 0),
+    ),
+    # w' offered f drops no firm of mu(w'); without the guard: negative shift count.
+    "worker-shape": (
+        ["w1w2,w2w3,w2,w1,w1w2w3,w1w3", "w1"],
+        ["f1f2", "f1,f2", "f1f2,f1,f2"],
+        (3, 1),
+        (6, 0),
+    ),
+    # The pair the equations point at is matched under mu_tilde too.
+    "next-not-in-v1": (
+        ["w3,w2,w1,w2w3,w1w3", "w1w2w3,w2w3,w1,w1w3,w1w2,w2,w3", "w1,w3,w2w3,w2"],
+        ["", "f2f3,f1f3,f1f2f3,f1,f1f2,f3,f2", "f1f2f3,f2,f3,f1"],
+        (4, 6, 4),
+        (0, 6, 2),
+    ),
+}
 
 
 class TestSuccessorMap:
@@ -72,6 +132,21 @@ class TestSuccessorMap:
             )
             assert list(succ) == v1
             assert set(succ.values()) <= set(v1)
+
+    def test_reference_agrees_on_example1(self, ex1):
+        reduced = reduce_profile(ex1.profile, ex1.mu_f, ex1.mu_w)
+        assert reference_successors(reduced) == _successors(reduced) != {}
+
+    @pytest.mark.parametrize("name", GUARD_MARKETS)
+    def test_guards_match_the_reference(self, name):
+        firm_rows, worker_rows, mu, mu_tilde = GUARD_MARKETS[name]
+        profile = build_profile(firm_rows, worker_rows)
+        reduced = reduce_profile(
+            profile, Matching(mu, profile.n_workers), Matching(mu_tilde, profile.n_workers)
+        )
+        assert _successors(reduced) == reference_successors(reduced)
+        for c in find_cycles(reduced):
+            assert satisfies_cycle_conditions(reduced, c.pairs)
 
 
 class TestFindCycles:
@@ -127,6 +202,17 @@ class TestCycleConditions:
         assert not satisfies_cycle_conditions(reduced, ())
         mixed = (golden.EX1_SIGMA1[0], golden.EX1_SIGMA2[0])
         assert not satisfies_cycle_conditions(reduced, mixed)
+
+    def test_worker_equation_alone_rejects(self):
+        profile = random_market(GenConfig(4, 4, 2, 1.0, 213))
+        reduced = reduce_profile(profile, Matching((10, 5, 10, 5), 4), Matching((12, 3, 9, 6), 4))
+        pairs = ((1, 2), (0, 3))
+        # Both pairs lie in v1, and each firm equation holds.
+        for (w, f), (w_next, _) in zip(pairs, pairs[1:] + pairs[:1]):
+            assert (reduced.mu.assign[f] & ~reduced.mu_tilde.assign[f]) >> w & 1
+            fallback = reduced.choice_reduced(firm(f), full_mask(4) & ~(1 << w))
+            assert fallback == reduced.mu.assign[f] & ~(1 << w) | 1 << w_next
+        assert not satisfies_cycle_conditions(reduced, pairs)
 
 
 class TestCyclicMatching:

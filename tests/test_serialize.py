@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from conftest import MARKETS_DIR
 from manymatch import (
     Matching,
     MarketFormatError,
+    load_json,
     market_to_obj,
     matching_to_obj,
     parse_market,
@@ -45,6 +47,27 @@ class TestMarketRoundTrip:
         profile = parse_market(obj)
         assert profile.firm_prefs[0].ranked == ()
         assert profile.worker_prefs[0].ranked == (1,)
+
+
+class TestLoadJson:
+    def test_reads_the_shipped_market(self, ex1):
+        assert parse_market(load_json(str(MARKETS_DIR / "example1.json"))) == ex1.profile
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"firms": ["f1"], "workers": ["w1", "w2"], "worker_prefs": {},'
+            ' "firm_prefs": {"f1": [["w1"]], "f1": [["w2"]]}}',
+            '{"assignment": {"f1": ["w1"], "f1": ["w2"]}}',
+        ],
+        ids=["market", "matching"],
+    )
+    def test_repeated_key_is_refused(self, tmp_path, text):
+        # json.load alone would keep the last "f1" and drop the first.
+        path = tmp_path / "dup.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MarketFormatError, match=re.escape(f"{path}: duplicate key 'f1'")):
+            load_json(str(path))
 
 
 class TestMarketErrors:
