@@ -239,7 +239,7 @@ def _choice_table(profile: Profile, agent: AgentId, cap: int) -> list[int]:
     acceptable = pref.acceptable
     k = acceptable.bit_count()
     if k > cap:
-        raise CapExceeded(f"exhaustive check over 2^{k} subsets exceeds cap {cap}")
+        raise CapExceeded(f"{profile.name(agent)}: exhaustive check over 2^{k} subsets exceeds cap {cap}")
     ranked = pref.ranked
     if acceptable & (acceptable + 1):  # not the low k bits: renumber them
         position = {b: i for i, b in enumerate(bit_indices(acceptable))}

@@ -12,7 +12,7 @@ the same kind of successor function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import bit_indices, firm, full_mask, worker
 from .matching import Matching
@@ -21,8 +21,7 @@ from .reduction import ReducedProfile
 Pair = tuple[int, int]  # (worker index, firm index)
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     """Ordered (worker, firm) pairs, canonicalized up to rotation."""
 
     pairs: tuple[Pair, ...]
@@ -116,7 +115,7 @@ def find_cycles(reduced: ReducedProfile) -> list[Cycle]:
             seen_at[node] = len(seen_at)
             node = succ.get(node)
         done.update(seen_at)
-    return sorted(found, key=lambda c: c.pairs)
+    return sorted(found)  # a one-field tuple orders by its pairs
 
 
 def cyclic_matching(mu: Matching, cycle: Cycle) -> Matching:

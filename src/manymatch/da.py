@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Profile, Side, bit_indices, choice, firm, full_mask, transpose, worker
 from .matching import Matching
@@ -13,8 +13,7 @@ class NonTermination(Exception):
     run ends within one round per (proposer, receiver) pair plus one."""
 
 
-@dataclass(frozen=True)
-class DARound:
+class DARound(NamedTuple):
     """One simultaneous round: who proposed to whom, who is now held, who got cut.
 
     `proposals[p]` is the receiver mask proposer p offered to this round,
@@ -27,8 +26,7 @@ class DARound:
     rejections: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class DATrace:
+class DATrace(NamedTuple):
     proposing: Side
     rounds: tuple[DARound, ...]
 

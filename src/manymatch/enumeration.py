@@ -12,7 +12,7 @@ the stable set, which the comparison report makes visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     AgentId,
@@ -64,8 +64,7 @@ def validate_profile(profile: Profile) -> None:
             raise failures[0]
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(NamedTuple):
     """One matching expanded during a step: its cycles and their matchings."""
 
     source: Matching
@@ -73,14 +72,12 @@ class Expansion:
     produced: tuple[Matching, ...]
 
 
-@dataclass(frozen=True)
-class EnumerationStep:
+class EnumerationStep(NamedTuple):
     number: int  # step 1 is the deferred-acceptance step, expansions start at 2
     expansions: tuple[Expansion, ...]
 
 
-@dataclass(frozen=True)
-class EnumerationTrace:
+class EnumerationTrace(NamedTuple):
     mu_firm: Matching
     mu_worker: Matching
     steps: tuple[EnumerationStep, ...]
@@ -120,8 +117,7 @@ def stable_set(profile: Profile, validate: bool = True) -> tuple[list[Matching],
     return result, EnumerationTrace(mu_f, mu_w, tuple(steps))
 
 
-@dataclass(frozen=True)
-class TruncationCandidate:
+class TruncationCandidate(NamedTuple):
     """One candidate evaluated by the truncation algorithm.
 
     `failures` lists every worker whose choice test rejected the candidate,
@@ -136,8 +132,7 @@ class TruncationCandidate:
     failures: tuple[tuple[int, int, int, int], ...]
 
 
-@dataclass(frozen=True)
-class MMSTrace:
+class MMSTrace(NamedTuple):
     candidates: tuple[TruncationCandidate, ...]
     used_generic_step: bool  # steps past the first ran; see mms_algorithm notes
 
@@ -203,8 +198,7 @@ def _worker_objections(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Cycle enumeration vs truncation algorithm vs brute force on one market."""
 
     oracle: tuple[Matching, ...]

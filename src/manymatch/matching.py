@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     AgentId,
@@ -42,8 +42,7 @@ class Matching:
         return self._worker_view
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Every individual and pairwise objection to a matching."""
 
     irrational_agents: tuple[AgentId, ...]

@@ -15,8 +15,7 @@ mask filter per ranked list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from .core import _FIRM, AgentId, Profile, Side, bit_indices, choice, firm, full_mask, transpose, worker
 from .da import deferred_acceptance
@@ -31,15 +30,13 @@ class NotComparable(Exception):
     """The two matchings are not unanimously Blair-comparable for the firms."""
 
 
-@dataclass(frozen=True)
-class ReducedProfile:
+class ReducedProfile(NamedTuple):
     """Base profile plus the per-agent banned partners.
 
     For every agent a and pool S, choosing under the reduced lists equals
     choosing under `base` from S minus a's banned partners (the reduction is
     a composition of single-partner truncations); `choice_reduced` evaluates
-    it that way. The reduced lists are built as `materialized` only when
-    first read.
+    it that way. The reduced lists are built as `materialized` on each read.
     """
 
     base: Profile
@@ -52,9 +49,9 @@ class ReducedProfile:
         masks = self.banned_firm if agent.side is _FIRM else self.banned_worker
         return choice(self.base, agent, available & ~masks[agent.index])
 
-    @cached_property
+    @property
     def materialized(self) -> Profile:
-        """The reduced lists as a standalone profile, built on first read."""
+        """The reduced lists as a standalone profile, built on each read."""
         base = self.base
         return Profile(
             base.n_firms,

@@ -41,6 +41,10 @@ def load_json(path: str) -> Any:
         raise MarketFormatError(f"{path} is not valid JSON: {e}") from None
     except RecursionError:
         raise MarketFormatError(f"{path} is nested too deeply") from None
+    except MarketFormatError:
+        raise
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise MarketFormatError(f"{path} holds a number too long to read") from None
 
 
 def _names(value: Any, where: str) -> list[str]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +33,9 @@ from manymatch import (
 )
 
 MARKETS_DIR = Path(__file__).resolve().parent.parent / "markets"
+
+# The most digits an integer read from text may have, or 0 where there is no limit.
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 _TOKEN = re.compile(r"[fw](\d+)")
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import MARKETS_DIR
+from conftest import INT_DIGIT_LIMIT, MARKETS_DIR
 from manymatch.cli import main
 
 EX1 = str(MARKETS_DIR / "example1.json")
@@ -147,7 +147,7 @@ class TestValidate:
         )
         code, out, err = run(capsys, "validate", market)
         assert (code, out) == (3, "")
-        assert "2^13 subsets exceeds cap 12" in err
+        assert err == "error: f2: exhaustive check over 2^13 subsets exceeds cap 12\n"
         code, out, _ = run(capsys, "validate", market, "--cap", "13")
         assert code == 0
         assert out.count("substitutable=yes lad=yes") == 16
@@ -491,6 +491,12 @@ class TestErrorPaths:
         path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
         argv = ["validate", str(path)] if role == "market" else ["cycles", EX1, "--mu", str(path)]
         assert run(capsys, *argv) == (1, "", f"error: {path} is not UTF-8 text\n")
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="this interpreter reads integers of any length")
+    def test_number_past_the_digit_limit_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"firms": [' + "9" * (INT_DIGIT_LIMIT + 1) + "]}", encoding="utf-8")
+        assert run(capsys, "enumerate", str(path)) == (1, "", f"error: {path} holds a number too long to read\n")
 
     @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(

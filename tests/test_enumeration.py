@@ -19,17 +19,30 @@ from conftest import (
 )
 from manymatch import (
     AxiomViolation,
+    ComparisonReport,
+    Cycle,
+    DATrace,
+    EnumerationTrace,
     GenConfig,
+    MMSTrace,
+    ReducedProfile,
+    Side,
+    StabilityReport,
     brute_force_stable_set,
     compare_algorithms,
+    deferred_acceptance,
     market_to_obj,
     mms_algorithm,
     random_market,
+    reduce_to_worker_optimal,
+    stability,
     stable_set,
     validate_profile,
 )
 from manymatch.cli import main
 from manymatch.core import DEFAULT_CHECK_CAP
+from manymatch.da import DARound
+from manymatch.enumeration import EnumerationStep, Expansion, TruncationCandidate
 from manymatch.serialize import dumps
 
 markets = st.builds(
@@ -306,3 +319,53 @@ class TestCompare:
         report = compare_algorithms(build_profile(*SINGLETON_MARKET))
         assert report.cycle_matches_oracle and report.truncation_matches_oracle
         assert len(report.oracle) == 1
+
+
+# Each value record's fields in order. The order is part of the API: a record
+# is a tuple, so it unpacks, iterates and compares like its plain fields.
+RECORD_FIELDS = {
+    DARound: ("proposals", "held", "rejections"),
+    DATrace: ("proposing", "rounds"),
+    Cycle: ("pairs",),
+    ReducedProfile: ("base", "mu", "mu_tilde", "banned_firm", "banned_worker"),
+    StabilityReport: ("irrational_agents", "blocking_pairs"),
+    Expansion: ("source", "cycles", "produced"),
+    EnumerationStep: ("number", "expansions"),
+    EnumerationTrace: ("mu_firm", "mu_worker", "steps"),
+    TruncationCandidate: ("step", "source", "pair", "candidate", "accepted", "failures"),
+    MMSTrace: ("candidates", "used_generic_step"),
+    ComparisonReport: ("oracle", "cycle_set", "truncation_set", "truncation_trace"),
+}
+
+
+def _built_records(ex1, ex2) -> dict[type, tuple]:
+    """One instance of each value record, as the algorithms build them."""
+    _, da_trace = deferred_acceptance(ex1.profile, Side.FIRM)
+    _, trace = stable_set(ex1.profile)
+    report = compare_algorithms(ex2.profile)
+    step = trace.steps[0]
+    return {
+        DARound: da_trace.rounds[0],
+        DATrace: da_trace,
+        Cycle: step.expansions[0].cycles[0],
+        ReducedProfile: reduce_to_worker_optimal(ex1.profile, trace.mu_firm),
+        StabilityReport: stability(ex1.profile, trace.mu_firm),
+        Expansion: step.expansions[0],
+        EnumerationStep: step,
+        EnumerationTrace: trace,
+        TruncationCandidate: report.truncation_trace.candidates[0],
+        MMSTrace: report.truncation_trace,
+        ComparisonReport: report,
+    }
+
+
+class TestValueRecords:
+    @pytest.mark.parametrize("record_type", RECORD_FIELDS, ids=lambda t: t.__name__)
+    def test_is_an_immutable_tuple_of_its_fields(self, ex1, ex2, record_type):
+        record = _built_records(ex1, ex2)[record_type]
+        assert type(record) is record_type
+        assert record_type._fields == RECORD_FIELDS[record_type]
+        with pytest.raises(AttributeError):
+            setattr(record, record_type._fields[0], None)
+        hash(record)
+        assert record == tuple(record)

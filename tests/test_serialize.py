@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from conftest import MARKETS_DIR
+from conftest import INT_DIGIT_LIMIT, MARKETS_DIR
 from manymatch import (
     Matching,
     MarketFormatError,
@@ -67,6 +67,13 @@ class TestLoadJson:
         path = tmp_path / "dup.json"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(MarketFormatError, match=re.escape(f"{path}: duplicate key 'f1'")):
+            load_json(str(path))
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="this interpreter reads integers of any length")
+    def test_number_past_the_digit_limit_is_refused(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"firms": [' + "9" * (INT_DIGIT_LIMIT + 1) + "]}", encoding="utf-8")
+        with pytest.raises(MarketFormatError, match=re.escape(f"{path} holds a number too long to read")):
             load_json(str(path))
 
 
