@@ -1,7 +1,8 @@
 """Agents, partner sets, ranked set preferences, choice functions, and axioms.
 
 A partner set is a plain int bitmask over the opposite side's agent indices
-(bit i = agent i, so 0 is the empty set). Sides are capped at 64 agents.
+(bit i = agent i, so 0 is the empty set). Sides have no size limit: the one
+limit is per agent, DEFAULT_CHECK_CAP on the partners an agent accepts.
 """
 
 from __future__ import annotations
@@ -9,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, reduce
-from operator import or_
+from operator import index as _as_int, or_
 from typing import Iterable, Iterator, NamedTuple
 
-MAX_SIDE = 64
 DEFAULT_CHECK_CAP = 12  # acceptable partners: axiom checks tabulate 2^k pools, gen draws at most k
 
 
@@ -38,21 +38,20 @@ class AgentId(NamedTuple):
 _FIRM = Side.FIRM
 
 
-# One side's ids by index, built once for 0..MAX_SIDE-1.
-_FIRM_IDS = tuple(AgentId(Side.FIRM, i) for i in range(MAX_SIDE))
-_WORKER_IDS = tuple(AgentId(Side.WORKER, i) for i in range(MAX_SIDE))
+class _Ids(dict):
+    """`AgentId(side, index)` by index, interned on first use: the same object
+    on every later call, also across threads, so hot loops build no tuple per
+    choice. An index is any int; a negative one does not wrap around."""
+
+    def __init__(self, side: Side) -> None:
+        self.side = side
+
+    def __missing__(self, index: int) -> AgentId:
+        return self.setdefault(index, AgentId(self.side, _as_int(index)))
 
 
-def firm(index: int) -> AgentId:
-    """`AgentId(Side.FIRM, index)`, interned for in-range indices: the same
-    object on every call, so hot loops build no tuple per choice. Any other
-    int gets a fresh id, so a negative index does not wrap around."""
-    return _FIRM_IDS[index] if 0 <= index < MAX_SIDE else AgentId(Side.FIRM, index)
-
-
-def worker(index: int) -> AgentId:
-    """`AgentId(Side.WORKER, index)`, interned like `firm`."""
-    return _WORKER_IDS[index] if 0 <= index < MAX_SIDE else AgentId(Side.WORKER, index)
+firm = _Ids(Side.FIRM).__getitem__
+worker = _Ids(Side.WORKER).__getitem__
 
 
 def full_mask(n: int) -> int:
@@ -158,8 +157,6 @@ class Profile:
     worker_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n_firms <= MAX_SIDE or not 0 <= self.n_workers <= MAX_SIDE:
-            raise ValueError(f"side sizes must be between 0 and {MAX_SIDE}")
         if not self.firm_names:
             object.__setattr__(self, "firm_names", tuple(f"f{i + 1}" for i in range(self.n_firms)))
         if not self.worker_names:
@@ -239,12 +236,16 @@ def _choice_table(profile: Profile, agent: AgentId, cap: int) -> list[int]:
     acceptable = pref.acceptable
     k = acceptable.bit_count()
     if k > cap:
-        raise CapExceeded(f"{profile.name(agent)}: exhaustive check over 2^{k} subsets exceeds cap {cap}")
+        raise _cap_exceeded(profile.name(agent), k, cap)
     ranked = pref.ranked
     if acceptable & (acceptable + 1):  # not the low k bits: renumber them
         position = {b: i for i, b in enumerate(bit_indices(acceptable))}
         ranked = tuple(mask_of(position[b] for b in bit_indices(e)) for e in ranked)
     return [_first_fit(ranked, avail) for avail in range(1 << k)]
+
+
+def _cap_exceeded(name: str, k: int, cap: int) -> CapExceeded:
+    return CapExceeded(f"{name}: exhaustive check over 2^{k} subsets exceeds cap {cap}")
 
 
 def _axiom_verdicts(profile: Profile, agent: AgentId, cap: int) -> tuple[bool, bool]:

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import AgentId, CapExceeded, DEFAULT_CHECK_CAP, MAX_SIDE, Preference, Profile, firm, mask_of, worker
+from .core import AgentId, DEFAULT_CHECK_CAP, Preference, Profile, _cap_exceeded, firm, mask_of, worker
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,8 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_firms <= MAX_SIDE or not 1 <= self.n_workers <= MAX_SIDE:
-            raise ValueError(f"side sizes must be between 1 and {MAX_SIDE}")
+        if self.n_firms < 1 or self.n_workers < 1:
+            raise ValueError("side sizes must be at least 1")
         if self.quota < 1:
             raise ValueError("quota must be at least 1")
         if not 0.0 <= self.acceptability_prob <= 1.0:
@@ -62,10 +62,8 @@ def _draw_preference(
     rng: random.Random, owner: AgentId, n_opposite: int, quota: int, prob: float
 ) -> Preference:
     pool = [i for i in range(n_opposite) if rng.random() < prob]
-    if len(pool) > DEFAULT_CHECK_CAP:
-        raise CapExceeded(
-            f"{len(pool)} acceptable partners would rank more than 2^{DEFAULT_CHECK_CAP} sets"
-        )
+    if len(pool) > DEFAULT_CHECK_CAP:  # named as the market names it by default: f1, w1, ...
+        raise _cap_exceeded(f"{owner.side.value[0]}{owner.index + 1}", len(pool), DEFAULT_CHECK_CAP)
     _shuffle(rng, pool)  # pool[r] is the individual of rank r; 0 is the best
     # A subset is a tuple of ascending ranks. Padding it with a rank worse than
     # any real one ranks each set above its own subsets.

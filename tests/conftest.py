@@ -103,9 +103,11 @@ def compact_rows(profile: Profile) -> dict[str, str]:
     return out
 
 
-def wide_block_market(seed: int, n_blocks: int = 4, size: int = 3, quota: int = 2):
+def wide_block_market(seed: int, n_blocks: int = 4, size: int = 3, quota: int = 2, pad: int = 0):
     """Disjoint size x size blocks embedded in one market under shuffled
     indices, so each agent accepts only the few partners of its own block.
+    `pad` more agents per side rank nobody and are shuffled in with the rest;
+    they stay unmatched, so they leave the stable set as it is.
 
     Blocks are responsive (the given quota, every partner of the block
     acceptable) and kept only when the oracle finds at least 2 stable
@@ -119,7 +121,7 @@ def wide_block_market(seed: int, n_blocks: int = 4, size: int = 3, quota: int = 
         stable = brute_force_stable_set(block)
         if len(stable) >= 2:
             blocks.append((block, stable))
-    n = size * n_blocks
+    n = size * n_blocks + pad
     fperm, wperm = list(range(n)), list(range(n))
     rng.shuffle(fperm)
     rng.shuffle(wperm)

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import INT_DIGIT_LIMIT, MARKETS_DIR
+from manymatch import load_json, matching_to_obj, parse_market, stable_set
 from manymatch.cli import main
+from manymatch.serialize import dumps
 
 EX1 = str(MARKETS_DIR / "example1.json")
 EX2 = str(MARKETS_DIR / "example2.json")
@@ -379,6 +381,18 @@ class TestGen:
         # --out writes exactly the bytes stdout would.
         assert a.read_bytes() == b.read_bytes() == run(capsys, *argv)[1].encode("utf-8")
         assert run(capsys, "validate", str(a))[0] == 0
+
+    def test_past_the_old_side_limit(self, capsys, tmp_path):
+        # 100 firms and 120 workers, past the 64-agent side limit the library
+        # once had; each agent accepts few enough partners to be validated.
+        market = str(tmp_path / "wide.json")
+        argv = ["gen", "--firms", "100", "--workers", "120", "--quota", "2", "--prob", "0.04", "--seed", "2"]
+        assert run(capsys, *argv, "--out", market) == (0, "", "")
+        assert run(capsys, "validate", market)[0] == 0
+        code, out, _ = run(capsys, "enumerate", market)
+        assert code == 0
+        profile = parse_market(load_json(market))
+        assert out == dumps([matching_to_obj(m, profile) for m in stable_set(profile)[0]])
 
     def test_gen_cap_exceeded(self, capsys):
         code, _, err = run(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -26,7 +28,7 @@ from manymatch import (
     validate_profile,
     worker,
 )
-from manymatch.core import MAX_SIDE, AgentId, Side, _axiom_verdicts, _choice_table
+from manymatch.core import AgentId, Side, _axiom_verdicts, _choice_table
 
 W = full_mask(6)
 
@@ -435,21 +437,51 @@ class TestTruncate:
 
 
 class TestAgentIds:
-    @pytest.mark.parametrize("index", [0, 1, MAX_SIDE - 1, MAX_SIDE, MAX_SIDE + 5, -1])
+    # No side limit: an id past 63 is interned like any other, and -1 is no alias.
+    INDICES = [0, 1, 63, 64, 65, 1000, -1]
+
+    @pytest.mark.parametrize("index", INDICES)
     def test_equal_to_a_built_id(self, index):
         assert firm(index) == AgentId(Side.FIRM, index)
         assert worker(index) == AgentId(Side.WORKER, index)
         assert firm(index).index == worker(index).index == index
         assert firm(index) != worker(index)
 
-    def test_interned_in_range(self):
-        for i in range(MAX_SIDE):
+    def test_interned(self):
+        for i in self.INDICES:
             assert firm(i) is firm(i) and worker(i) is worker(i)
+
+    def test_interned_across_threads(self):
+        # Threads that all meet unseen indices at once must get one object per index.
+        fresh = range(10**6, 10**6 + 20000)
+        got = [None] * 8
+        start = threading.Barrier(len(got))
+        def intern(t):
+            start.wait(timeout=30)
+            got[t] = [worker(i) for i in fresh]
+        threads = [threading.Thread(target=intern, args=(t,)) for t in range(len(got))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(a is b for ids in got[1:] for a, b in zip(got[0], ids))
+        assert all(worker(i) is a for i, a in zip(fresh, got[0]))
 
     def test_no_wraparound_out_of_range(self):
         assert firm(-1).index == -1
-        assert worker(MAX_SIDE + 5).index == MAX_SIDE + 5
-        assert firm(-1) != firm(MAX_SIDE - 1)
+        assert firm(-1) != firm(63)
+
+    def test_non_int_index_refused(self):
+        # An interned 2.0 would be the id that firm(2) returns from then on.
+        with pytest.raises(TypeError):
+            firm(float(10**9))
+        assert type(firm(10**9).index) is int
 
 
 class TestProfileInvariants:
@@ -466,9 +498,11 @@ class TestProfileInvariants:
         with pytest.raises(ValueError):
             build_profile(["w5"], ["f1", ""])
 
-    def test_side_cap(self):
-        with pytest.raises(ValueError):
-            Profile(65, 1, tuple(Preference(firm(i), ()) for i in range(65)), (Preference(worker(0), ()),))
+    def test_no_side_cap(self):
+        wide = Profile(65, 1, tuple(Preference(firm(i), ()) for i in range(65)), (Preference(worker(0), ()),))
+        assert wide.firm_names[64] == "f65"
+        with pytest.raises(ValueError, match="one preference list required per agent"):
+            Profile(-1, 0, (), ())
 
     def test_wrong_owner_rejected(self):
         with pytest.raises(ValueError):

@@ -33,6 +33,7 @@ from manymatch import (
     deferred_acceptance,
     market_to_obj,
     mms_algorithm,
+    parse_market,
     random_market,
     reduce_to_worker_optimal,
     stability,
@@ -157,6 +158,17 @@ class TestWideMarkets:
         assert [m.assign for m in brute_force_stable_set(profile)] == expected
         assert main(["compare", str(market)]) == 0
         assert json.loads(capsys.readouterr().out)["cycle_enumeration_matches_oracle"] is True
+
+    def test_past_the_old_side_limit(self):
+        # 60 agents a side who rank nobody push block workers to indices 64
+        # and above, past the 64-agent side limit the library once had.
+        profile, expected = wide_block_market(1, n_blocks=4, pad=60)
+        assert profile.n_firms == profile.n_workers == 72
+        assert max(i for i, p in enumerate(profile.worker_prefs) if p.ranked) >= 64
+        profile = parse_market(json.loads(dumps(market_to_obj(profile))))
+        matchings, _ = stable_set(profile)
+        assert [m.assign for m in matchings] == expected
+        assert len(expected) == 16
 
 
 class TestLatticeCheck:

@@ -88,7 +88,7 @@ def test_quota_past_the_pool_changes_nothing():
 def test_acceptable_pool_cap():
     # gen draws at most as many acceptable partners as the axiom checks take.
     random_market(GenConfig(1, DEFAULT_CHECK_CAP, quota=2, acceptability_prob=1.0, seed=0))
-    with pytest.raises(CapExceeded, match=r"^13 acceptable partners would rank more than 2\^12 sets$"):
+    with pytest.raises(CapExceeded, match=r"^f1: exhaustive check over 2\^13 subsets exceeds cap 12$"):
         random_market(GenConfig(1, DEFAULT_CHECK_CAP + 1, quota=2, acceptability_prob=1.0, seed=0))
 
 
@@ -99,6 +99,18 @@ def test_config_validation():
         GenConfig(3, 3, quota=0)
     with pytest.raises(ValueError):
         GenConfig(3, 3, acceptability_prob=1.5)
+
+
+def test_no_side_cap():
+    profile = random_market(GenConfig(65, 70, acceptability_prob=0.05, seed=1))
+    assert (profile.n_firms, profile.n_workers) == (65, 70)
+    with pytest.raises(ValueError, match="^side sizes must be at least 1$"):
+        GenConfig(0, 3)
+
+
+def test_cap_error_names_a_worker():
+    with pytest.raises(CapExceeded, match=r"^w1: exhaustive check over 2\^13 subsets exceeds cap 12$"):
+        random_market(GenConfig(DEFAULT_CHECK_CAP + 1, 1, acceptability_prob=1.0, seed=0))
 
 
 def test_names_follow_side_and_index():
