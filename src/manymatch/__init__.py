@@ -6,6 +6,11 @@ and a brute-force oracle (`matching`), many-to-many deferred acceptance
 preference cycles (`cycles`), full-set enumeration and the truncation-based
 comparison algorithm (`enumeration`), a responsive random-market generator
 (`gen`), and JSON interchange plus a CLI (`serialize`, `cli`).
+
+`firm(i)` and `worker(i)` return the `AgentId` of agent i of that side, the
+same object on every call, for any int i. They are bound `dict.__getitem__`
+methods, the fastest call the hot loops can make, so `help()` on them shows
+dict's docstring instead of this one.
 """
 
 from .core import (

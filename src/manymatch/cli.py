@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import DEFAULT_CHECK_CAP, CapExceeded, Side, _axiom_verdicts, bit_indices
+from .core import CapExceeded, Side, _axiom_verdicts, bit_indices
 from .da import deferred_acceptance
 from .enumeration import AxiomViolation, _violations, compare_algorithms, mms_algorithm, stable_set
 from .gen import GenConfig, random_market
@@ -55,11 +55,9 @@ def _fmt_matching(m: Matching, profile) -> str:
 
 
 def _cmd_validate(profile, args) -> int:
-    # Every check runs before the first line is printed, so an agent past the
-    # cap ends the command with no partial report on stdout.
-    verdicts = [(a, _axiom_verdicts(profile, a, args.cap)) for a in profile.agents()]
     failures = []
-    for agent, (sub, lad) in verdicts:
+    for agent in profile.agents():
+        sub, lad = _axiom_verdicts(profile, agent)
         yes_no = f"substitutable={'yes' if sub else 'NO'} lad={'yes' if lad else 'NO'}"
         print(_printable(f"{profile.name(agent)}: {yes_no}"))
         failures += _violations(profile, agent, (sub, lad))
@@ -160,10 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
         parser.set_defaults(func=func)
         return parser
 
-    v = market_command("validate", _cmd_validate, "per-agent substitutability and LAD report")
-    v.add_argument(
-        "--cap", type=int, default=DEFAULT_CHECK_CAP, help="exhaustive-check cap (acceptable partners)"
-    )
+    market_command("validate", _cmd_validate, "per-agent substitutability and LAD report")
 
     d = market_command("da", _cmd_da, "deferred acceptance from one side")
     d.add_argument("--proposing", choices=("firms", "workers"), required=True)

@@ -1,8 +1,10 @@
 """Agents, partner sets, ranked set preferences, choice functions, and axioms.
 
 A partner set is a plain int bitmask over the opposite side's agent indices
-(bit i = agent i, so 0 is the empty set). Sides have no size limit: the one
-limit is per agent, DEFAULT_CHECK_CAP on the partners an agent accepts.
+(bit i = agent i, so 0 is the empty set). Neither sides nor lists have a
+size limit: the axiom checks read the choice only at unions of two ranked
+sets, so their cost grows with the length of a list, not with 2^k for its k
+acceptable partners.
 """
 
 from __future__ import annotations
@@ -12,9 +14,6 @@ from enum import Enum
 from functools import cached_property, reduce
 from operator import index as _as_int, or_
 from typing import Iterable, Iterator, NamedTuple
-
-DEFAULT_CHECK_CAP = 12  # acceptable partners: axiom checks tabulate 2^k pools, gen draws at most k
-
 
 class CapExceeded(Exception):
     """An operation would exceed its configured combinatorial budget."""
@@ -220,46 +219,36 @@ def _first_fit(ranked: tuple[int, ...], pool: int) -> int:
     return 0
 
 
-def _choice_table(profile: Profile, agent: AgentId, cap: int) -> list[int]:
-    """Choices from every pool of the agent's acceptable partners.
+def _axiom_verdicts(profile: Profile, agent: AgentId) -> tuple[bool, bool]:
+    """(substitutable, satisfies LAD) from one pass over the pools A | B, where
+    A and B are ranked sets (A = B allowed), removing from each pool only the
+    partners chosen from it.
 
-    A choice only depends on `pool & acceptable`, so the table covers the
-    2^k subsets of the k acceptable partners, renumbered to bits 0..k-1 in
-    ascending order (a no-op when they already are the low bits). The axiom
-    checks read it in that compressed space, and the cap, which must not be
-    negative, bounds k. Built with `_first_fit`, not through `choice()`, so
-    that the one-off table does not fill the list's cache.
+    These pools suffice. Suppose C(S) = A, y is in A, and B = C(S - y) breaks
+    an axiom (A - y is not inside B, or |B| > |A|). B fits in S - y, so it is
+    empty or ranked. Take S' = A | B, a subset of S: C(S') = A, since a set
+    ranked above A that fits in S' would fit in S; and C(S' - y) = B, since a
+    set ranked above B that fits in S' - y would fit in S - y. So the same y
+    breaks the same axiom at S'. Each pool and each one-removal pool is a
+    subset of `acceptable`, so a list of m sets over k partners costs at most
+    min(m(m+1)/2, 2^k) pools.
     """
-    if cap < 0:
-        raise ValueError(f"cap must be non-negative, got {cap}")
-    pref = profile.pref(agent)
-    acceptable = pref.acceptable
-    k = acceptable.bit_count()
-    if k > cap:
-        raise _cap_exceeded(profile.name(agent), k, cap)
-    ranked = pref.ranked
-    if acceptable & (acceptable + 1):  # not the low k bits: renumber them
-        position = {b: i for i, b in enumerate(bit_indices(acceptable))}
-        ranked = tuple(mask_of(position[b] for b in bit_indices(e)) for e in ranked)
-    return [_first_fit(ranked, avail) for avail in range(1 << k)]
-
-
-def _cap_exceeded(name: str, k: int, cap: int) -> CapExceeded:
-    return CapExceeded(f"{name}: exhaustive check over 2^{k} subsets exceeds cap {cap}")
-
-
-def _axiom_verdicts(profile: Profile, agent: AgentId, cap: int) -> tuple[bool, bool]:
-    """(substitutable, satisfies LAD) from one pass over one choice table,
-    removing from each pool only the partners chosen from it."""
-    table = _choice_table(profile, agent, cap)
+    ranked = profile.pref(agent).ranked
+    pools = {a | b for i, a in enumerate(ranked) for b in ranked[i:]}
+    # A local table, not the list's cache, which a quota-3 list would leave
+    # holding tens of thousands of one-off entries.
+    table = {pool: _first_fit(ranked, pool) for pool in pools}
     substitutable = lad = True
-    for pool, chosen in enumerate(table):
+    for pool in pools:
+        chosen = table[pool]
         size = chosen.bit_count()
         rest = chosen
         while rest:
             bit = rest & -rest
             rest ^= bit
-            shrunk = table[pool ^ bit]  # the choice once this chosen partner leaves
+            shrunk = table.get(pool ^ bit)  # the choice once this chosen partner leaves
+            if shrunk is None:
+                shrunk = table[pool ^ bit] = _first_fit(ranked, pool ^ bit)
             substitutable &= not chosen & ~bit & ~shrunk
             lad &= shrunk.bit_count() <= size
         if not (substitutable or lad):
@@ -268,15 +257,16 @@ def _axiom_verdicts(profile: Profile, agent: AgentId, cap: int) -> tuple[bool, b
 
 
 def is_substitutable(profile: Profile, agent: AgentId) -> bool:
-    """Exhaustive substitutability check.
+    """Substitutability: a chosen partner stays chosen when other partners
+    leave the pool.
 
-    A chosen partner must stay chosen when other partners leave the pool.
     Checked in the equivalent one-removal form (choice(S) minus x is contained
     in choice(S minus x) for every S and x), which chains down to the general
     subset form. Removing a partner that was not chosen leaves a ranked-list
-    choice unchanged, so only the chosen partners x are tried.
+    choice unchanged, so only the chosen partners x are tried, and only at
+    the pools that can hold a violation: unions of two ranked sets.
     """
-    return _axiom_verdicts(profile, agent, DEFAULT_CHECK_CAP)[0]
+    return _axiom_verdicts(profile, agent)[0]
 
 
 def satisfies_lad(profile: Profile, agent: AgentId) -> bool:
@@ -284,11 +274,11 @@ def satisfies_lad(profile: Profile, agent: AgentId) -> bool:
 
     Checked in one-removal form (removing one partner from a pool never grows
     the choice), equivalent to the subset form by chaining along any
-    inclusion chain and exponentially cheaper. Removing a partner that was
-    not chosen leaves a ranked-list choice unchanged, so only the chosen
-    partners are tried.
+    inclusion chain. Removing a partner that was not chosen leaves a
+    ranked-list choice unchanged, so only the chosen partners are tried, and
+    only at the pools that can hold a violation: unions of two ranked sets.
     """
-    return _axiom_verdicts(profile, agent, DEFAULT_CHECK_CAP)[1]
+    return _axiom_verdicts(profile, agent)[1]
 
 
 def blair_geq(profile: Profile, agent: AgentId, s1: int, s2: int) -> bool:

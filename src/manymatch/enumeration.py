@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 from .core import (
     AgentId,
-    DEFAULT_CHECK_CAP,
     Profile,
     Side,
     _axiom_verdicts,
@@ -59,7 +58,7 @@ def validate_profile(profile: Profile) -> None:
     depends on both axioms, and failing fast beats returning a wrong set.
     """
     for agent in profile.agents():
-        failures = _violations(profile, agent, _axiom_verdicts(profile, agent, DEFAULT_CHECK_CAP))
+        failures = _violations(profile, agent, _axiom_verdicts(profile, agent))
         if failures:
             raise failures[0]
 

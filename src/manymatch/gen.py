@@ -22,7 +22,9 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import AgentId, DEFAULT_CHECK_CAP, Preference, Profile, _cap_exceeded, firm, mask_of, worker
+from .core import AgentId, CapExceeded, Preference, Profile, firm, mask_of, worker
+
+_MAX_PARTNERS = 12  # a list at quota q ranks up to 2^12 - 1 = 4,095 sets
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,9 @@ def _draw_preference(
     rng: random.Random, owner: AgentId, n_opposite: int, quota: int, prob: float
 ) -> Preference:
     pool = [i for i in range(n_opposite) if rng.random() < prob]
-    if len(pool) > DEFAULT_CHECK_CAP:  # named as the market names it by default: f1, w1, ...
-        raise _cap_exceeded(f"{owner.side.value[0]}{owner.index + 1}", len(pool), DEFAULT_CHECK_CAP)
+    if len(pool) > _MAX_PARTNERS:  # named as the market names it by default: f1, w1, ...
+        name = f"{owner.side.value[0]}{owner.index + 1}"
+        raise CapExceeded(f"{name}: {len(pool)} acceptable partners exceed gen's limit of {_MAX_PARTNERS}")
     _shuffle(rng, pool)  # pool[r] is the individual of rank r; 0 is the best
     # A subset is a tuple of ascending ranks. Padding it with a rank worse than
     # any real one ranks each set above its own subsets.

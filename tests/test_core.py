@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import build_profile, entries
 from manymatch import (
     AxiomViolation,
-    CapExceeded,
     GenConfig,
     Preference,
     Profile,
@@ -28,7 +27,7 @@ from manymatch import (
     validate_profile,
     worker,
 )
-from manymatch.core import AgentId, Side, _axiom_verdicts, _choice_table
+from manymatch.core import AgentId, Side, _axiom_verdicts
 
 W = full_mask(6)
 
@@ -147,17 +146,22 @@ class TestSubstitutability:
         assert is_substitutable(small_profile(""), firm(0))
 
     def test_cap(self):
-        # The cap counts acceptable partners: 13 ranked singletons exceed the
-        # default, which the checkers always use; the kernel takes others.
-        profile = lists_profile(tuple(1 << i for i in range(13)), width=13)
-        with pytest.raises(CapExceeded):
-            is_substitutable(profile, firm(0))
-        assert _axiom_verdicts(profile, firm(0), 13) == (True, True)
+        # No cap on acceptable partners: 40 ranked singletons are checked at
+        # their 40 singleton pools and 780 pair unions, not 2^40 pools.
+        profile = lists_profile(tuple(1 << i for i in range(40)), width=40)
+        assert _axiom_verdicts(profile, firm(0)) == (True, True)
 
-    def test_negative_cap_is_rejected(self):
-        # Even an agent that accepts no one: a negative cap is malformed.
-        with pytest.raises(ValueError, match="non-negative"):
-            _axiom_verdicts(small_profile(""), firm(0), -1)
+    def test_thirteen_partners_failing_substitutability(self):
+        # {w1,w2} is chosen from {w1,w2}, but w1 is dropped once w2 leaves.
+        profile = lists_profile(entries("w1w2") + tuple(1 << i for i in range(2, 13)), width=13)
+        assert _axiom_verdicts(profile, firm(0)) == (False, True)
+        _assert_matches_references(profile, firm(0))
+
+    def test_violation_only_at_non_adjacent_sets(self):
+        # {w1,w2} is chosen from {w1,w2,w3}, but once w1 leaves, {w3} is and
+        # w2 is dropped. No other pool of acceptable partners shows a
+        # violation, and this one is the union of the 1st and 3rd ranked sets.
+        assert _axiom_verdicts(small_profile("w1w2,w1,w3,w2"), firm(0)) == (False, True)
 
     @settings(max_examples=150)
     @given(ranked=ranked_lists)
@@ -172,7 +176,7 @@ embeddings = st.tuples(ranked_lists, st.permutations(range(20)).map(lambda p: p[
 
 class TestAcceptablePartnersOnly:
     """The axiom checks read only the partners an agent accepts, so a list
-    spread over a side far wider than the cap gets the 4-wide answers."""
+    spread over a 20-wide side gets the 4-wide answers."""
 
     @settings(max_examples=100)
     @given(embedding=embeddings)
@@ -243,8 +247,14 @@ def _lad_every_addition(table: list[int]) -> bool:
     return True
 
 
+def _table(profile: Profile, agent) -> list[int]:
+    """Reference: the agent's choice from every pool of the opposite side."""
+    ranked = profile.pref(agent).ranked
+    return [_first_fit(ranked, pool) for pool in range(1 << profile.opposite_size(agent.side))]
+
+
 def _assert_matches_references(profile: Profile, agent) -> None:
-    table = _choice_table(profile, agent, 12)
+    table = _table(profile, agent)
     assert is_substitutable(profile, agent) == _substitutable_every_removal(table)
     assert satisfies_lad(profile, agent) == _lad_every_addition(table)
 
@@ -258,6 +268,20 @@ market_lists = st.tuples(
     st.floats(0.3, 1.0),
     st.integers(0, 10_000),
     st.none() | st.integers(0, 1_000),
+)
+
+
+# A generated list over at most 8 partners, disturbed once: two adjacent sets
+# swapped, one set dropped, or one set inserted. Near misses of a responsive
+# list break the axioms at few pools, which is where the checks must look.
+near_responsive = st.tuples(
+    st.integers(1, 3),
+    st.integers(1, 8),
+    st.floats(0.3, 1.0),
+    st.integers(0, 10_000),
+    st.sampled_from(["swap", "drop", "insert"]),
+    st.integers(0, 10_000),
+    st.integers(1, (1 << 8) - 1),
 )
 
 
@@ -282,6 +306,21 @@ class TestChosenPartnersOnly:
         profile = replace(profile, firm_prefs=(Preference(firm(0), tuple(ranked)),) + profile.firm_prefs[1:])
         for agent in profile.agents():
             _assert_matches_references(profile, agent)
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=near_responsive)
+    def test_near_responsive_lists(self, params):
+        quota, width, prob, seed, edit, at, added = params
+        ranked = list(random_market(GenConfig(1, width, quota, prob, seed)).firm_prefs[0].ranked)
+        added &= full_mask(width)
+        if edit == "swap" and len(ranked) > 1:
+            i = at % (len(ranked) - 1)
+            ranked[i], ranked[i + 1] = ranked[i + 1], ranked[i]
+        elif edit == "drop" and ranked:
+            del ranked[at % len(ranked)]
+        elif edit == "insert" and added and added not in ranked:
+            ranked.insert(at % (len(ranked) + 1), added)
+        _assert_matches_references(lists_profile(tuple(ranked), width), firm(0))
 
     def test_list_failing_both_axioms(self):
         # Removing w1 from {w1,w2,w3} grows the choice to {w2,w3} (LAD), and
@@ -379,17 +418,17 @@ class TestEq1:
 
     def test_example_market(self, ex1):
         for agent in ex1.profile.agents():
-            assert _eq1_every_pair(_choice_table(ex1.profile, agent, 12))
+            assert _eq1_every_pair(_table(ex1.profile, agent))
 
     def test_non_substitutable_fails(self):
         # Witness: S={w1}, S'={w2}: choice(choice({w1}) | {w2}) is empty.
-        assert not _eq1_every_pair(_choice_table(small_profile("w1w2"), firm(0), 12))
+        assert not _eq1_every_pair(_table(small_profile("w1w2"), firm(0)))
 
     @settings(max_examples=400)
     @given(ranked=st.lists(st.integers(1, (1 << 5) - 1), unique=True, max_size=10).map(tuple))
     def test_agrees_with_is_substitutable(self, ranked):
         profile = lists_profile(ranked, width=5)
-        assert is_substitutable(profile, firm(0)) == _eq1_every_pair(_choice_table(profile, firm(0), 12))
+        assert is_substitutable(profile, firm(0)) == _eq1_every_pair(_table(profile, firm(0)))
 
 
 class TestTruncate:

@@ -41,9 +41,9 @@ from manymatch import (
     validate_profile,
 )
 from manymatch.cli import main
-from manymatch.core import DEFAULT_CHECK_CAP
 from manymatch.da import DARound
 from manymatch.enumeration import EnumerationStep, Expansion, TruncationCandidate
+from manymatch.gen import _MAX_PARTNERS
 from manymatch.serialize import dumps
 
 markets = st.builds(
@@ -135,11 +135,11 @@ class TestWideMarkets:
         truncation, _ = mms_algorithm(profile, validate=False)
         assert {m.assign for m in truncation} <= set(expected)
 
-    def test_side_wider_than_the_check_cap(self, tmp_path, capsys):
-        # 7 one-to-one swap blocks: 14 agents a side, more than the cap, but
-        # each agent ranks 2 singletons, so validation covers 2^2 pools.
+    def test_side_wider_than_gens_limit(self, tmp_path, capsys):
+        # 7 one-to-one swap blocks: 14 agents a side, more than gen's limit on
+        # acceptable partners, but each agent ranks 2 singletons.
         profile, expected = wide_block_market(3, n_blocks=7, size=2, quota=1)
-        assert profile.n_firms == profile.n_workers == 14 > DEFAULT_CHECK_CAP
+        assert profile.n_firms == profile.n_workers == 14 > _MAX_PARTNERS
         assert all(
             len(p.ranked) == p.acceptable.bit_count() == 2
             for p in profile.firm_prefs + profile.worker_prefs

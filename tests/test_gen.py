@@ -13,7 +13,7 @@ from manymatch import (
     random_market,
     satisfies_lad,
 )
-from manymatch.core import DEFAULT_CHECK_CAP
+from manymatch.gen import _MAX_PARTNERS
 
 configs = st.builds(
     GenConfig,
@@ -86,10 +86,10 @@ def test_quota_past_the_pool_changes_nothing():
 
 
 def test_acceptable_pool_cap():
-    # gen draws at most as many acceptable partners as the axiom checks take.
-    random_market(GenConfig(1, DEFAULT_CHECK_CAP, quota=2, acceptability_prob=1.0, seed=0))
-    with pytest.raises(CapExceeded, match=r"^f1: exhaustive check over 2\^13 subsets exceeds cap 12$"):
-        random_market(GenConfig(1, DEFAULT_CHECK_CAP + 1, quota=2, acceptability_prob=1.0, seed=0))
+    # gen draws at most 12 acceptable partners: a list ranks up to 4,095 sets.
+    random_market(GenConfig(1, _MAX_PARTNERS, quota=2, acceptability_prob=1.0, seed=0))
+    with pytest.raises(CapExceeded, match=r"^f1: 13 acceptable partners exceed gen's limit of 12$"):
+        random_market(GenConfig(1, _MAX_PARTNERS + 1, quota=2, acceptability_prob=1.0, seed=0))
 
 
 def test_config_validation():
@@ -109,8 +109,8 @@ def test_no_side_cap():
 
 
 def test_cap_error_names_a_worker():
-    with pytest.raises(CapExceeded, match=r"^w1: exhaustive check over 2\^13 subsets exceeds cap 12$"):
-        random_market(GenConfig(DEFAULT_CHECK_CAP + 1, 1, acceptability_prob=1.0, seed=0))
+    with pytest.raises(CapExceeded, match=r"^w1: 13 acceptable partners exceed gen's limit of 12$"):
+        random_market(GenConfig(_MAX_PARTNERS + 1, 1, acceptability_prob=1.0, seed=0))
 
 
 def test_names_follow_side_and_index():
