@@ -128,6 +128,12 @@ def _cmd_compare(profile, args):
 
 
 def _cmd_gen(args):
+    # GenConfig checks the same ranges, but its messages name its fields, not the options.
+    for option, value in (("--firms", args.firms), ("--workers", args.workers), ("--quota", args.quota)):
+        if value < 1:
+            raise ValueError(f"{option} must be at least 1, got {value}")
+    if not 0.0 <= args.prob <= 1.0:
+        raise ValueError(f"--prob must lie in [0, 1], got {args.prob}")
     cfg = GenConfig(
         n_firms=args.firms,
         n_workers=args.workers,

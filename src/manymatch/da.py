@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import Profile, Side, bit_indices, choice, firm, full_mask, transpose, worker
-from .matching import Matching
+from .core import Profile, Side, bit_indices, choice, firm, full_mask, worker
+from .matching import Matching, _with_worker_view
 
 
 class NonTermination(Exception):
@@ -43,6 +43,17 @@ def deferred_acceptance(
     Proposing is simultaneous each round, so the outcome is order-independent.
     Stops at the first round without a rejection.
 
+    Only agents whose situation changed choose again. Round 1 moves every
+    proposer; later rounds move only the proposers cut in the round before,
+    since a proposer's options change only when it is cut. Then only the
+    receivers that gained an offer choose, in ascending index. A receiver
+    that only lost offers keeps what it holds, H = C(T): its new table T'
+    holds H (a voluntary leaver stays in H) and lies inside T (a cut proposer
+    has left its offers), and under a first-fit ranked list any set ranked
+    above H that fits T' would fit T, so C(T') = H and it cuts no one. The
+    rounds are therefore those of re-choosing everyone, on every input,
+    substitutable or not.
+
     `bans`, one receiver mask per proposer, seeds the rejection sets. A
     proposer's choice then only ever sees pools without its banned receivers,
     which is choosing under its list truncated at each of them, so the run,
@@ -61,21 +72,28 @@ def deferred_acceptance(
     proposers = [proposer_id(p) for p in range(n_prop)]  # ids built once per run
     receivers = [receiver_id(r) for r in range(n_recv)]
     rejected_by = list(bans)  # receiver masks that cut (or ban) each proposer
+    proposals = [0] * n_prop  # receiver mask each proposer currently offers to
+    offers = [0] * n_recv  # proposer masks currently offering: transpose(proposals)
     held = [0] * n_recv  # proposer masks currently held
     rounds: list[DARound] = []
     # Each (proposer, receiver) pair is cut at most once, and every round but
     # the last cuts one, so no input needs more than limit + 1 rounds.
     limit = n_prop * n_recv
+    movers = range(n_prop)  # round 1 moves every proposer
 
     while True:
         if len(rounds) > limit:
             raise NonTermination(f"no fixed point after {limit} rounds")
-        proposals = tuple(
-            choice(profile, agent, pool & ~cut) for agent, cut in zip(proposers, rejected_by)
-        )
-        offers = transpose(proposals, n_recv)
+        gained = 0  # receivers with an offer they did not have last round
+        for p in movers:
+            old = proposals[p]
+            new = proposals[p] = choice(profile, proposers[p], pool & ~rejected_by[p])
+            bit = 1 << p
+            for r in bit_indices(old ^ new):  # p's bit flips where its offer changed
+                offers[r] ^= bit
+            gained |= new & ~old
         rejections: list[tuple[int, int]] = []
-        for r in range(n_recv):
+        for r in bit_indices(gained):
             table = offers[r] | held[r]
             keep = choice(profile, receivers[r], table)
             held[r] = keep
@@ -83,12 +101,12 @@ def deferred_acceptance(
                 rejections.append((p, r))
                 rejected_by[p] |= 1 << r
         rejections.sort()
-        rounds.append(DARound(proposals, tuple(held), tuple(rejections)))
+        rounds.append(DARound(tuple(proposals), tuple(held), tuple(rejections)))
         if not rejections:
             break
+        movers = {p for p, _ in rejections}
 
-    if proposing is Side.FIRM:
-        assign = rounds[-1].proposals
-    else:
-        assign = rounds[-1].held  # each firm holds a worker mask
-    return Matching(tuple(assign), profile.n_workers), DATrace(proposing, tuple(rounds))
+    trace = DATrace(proposing, tuple(rounds))
+    if proposing is Side.FIRM:  # the offers each worker has are its side of the match
+        return _with_worker_view(rounds[-1].proposals, n_recv, tuple(offers)), trace
+    return Matching(rounds[-1].held, profile.n_workers), trace  # each firm holds a worker mask

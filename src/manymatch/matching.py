@@ -42,6 +42,16 @@ class Matching:
         return self._worker_view
 
 
+def _with_worker_view(assign: tuple[int, ...], n_workers: int, view: tuple[int, ...]) -> Matching:
+    """`Matching(assign, n_workers)` with its worker view already filled in,
+    for a caller that built `view`, which must equal `transpose(assign,
+    n_workers)`, on the way. The view is no field, so equality and hashing
+    are as for any other matching."""
+    m = Matching(assign, n_workers)
+    m.__dict__["_worker_view"] = view  # where cached_property would store it
+    return m
+
+
 class StabilityReport(NamedTuple):
     """Every individual and pairwise objection to a matching."""
 

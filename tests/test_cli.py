@@ -388,6 +388,21 @@ class TestGen:
         profile = parse_market(load_json(market))
         assert out == dumps([matching_to_obj(m, profile) for m in stable_set(profile)[0]])
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--prob", "2", "--prob must lie in [0, 1], got 2.0"),
+            ("--prob", "nan", "--prob must lie in [0, 1], got nan"),
+            ("--firms", "0", "--firms must be at least 1, got 0"),
+            ("--workers", "0", "--workers must be at least 1, got 0"),
+            ("--quota", "0", "--quota must be at least 1, got 0"),
+        ],
+        ids=["prob-above-1", "prob-nan", "no-firms", "no-workers", "no-quota"],
+    )
+    def test_out_of_range_option_is_named(self, capsys, option, value, message):
+        argv = {"--firms": "2", "--workers": "2", option: value}
+        assert run(capsys, "gen", *(x for pair in argv.items() for x in pair)) == (1, "", f"error: {message}\n")
+
     def test_gen_cap_exceeded(self, capsys):
         code, _, err = run(
             capsys, "gen", "--firms", "1", "--workers", "13", "--prob", "1.0"

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import build_profile, small_markets
 from manymatch import (
     GenConfig,
+    Matching,
     Side,
     blair_geq,
     brute_force_stable_set,
@@ -18,7 +19,9 @@ from manymatch import (
     stability,
     unanimous_blair_geq,
 )
-from manymatch.core import AgentId
+from manymatch.core import AgentId, bit_indices, choice, firm, full_mask, transpose, worker
+from manymatch.da import DARound, DATrace, NonTermination
+from manymatch.matching import _with_worker_view
 
 markets = st.builds(
     lambda nf, nw, q, prob, seed: random_market(GenConfig(nf, nw, q, prob, seed)),
@@ -145,3 +148,85 @@ class TestRoundLimit:
             bans = tuple(data.draw(st.integers(0, (1 << n_recv) - 1)) for _ in range(n_prop))
             _, trace = deferred_acceptance(profile, side, bans)
             assert len(trace.rounds) <= n_prop * n_recv + 1
+
+
+def batch_da(profile, proposing, bans=None):
+    """Deferred acceptance as it was before rounds became incremental: every
+    round every proposer chooses and every receiver chooses from its offers
+    plus what it held. The reference the incremental rounds must equal."""
+    n_prop, n_recv = profile.side_size(proposing), profile.opposite_size(proposing)
+    pool = full_mask(n_recv)
+    if bans is None:
+        bans = (0,) * n_prop
+    proposer_id, receiver_id = (firm, worker) if proposing is Side.FIRM else (worker, firm)
+    rejected_by = list(bans)
+    held = [0] * n_recv
+    rounds = []
+    limit = n_prop * n_recv
+    while True:
+        if len(rounds) > limit:
+            raise NonTermination(f"no fixed point after {limit} rounds")
+        proposals = tuple(
+            choice(profile, proposer_id(p), pool & ~cut) for p, cut in enumerate(rejected_by)
+        )
+        offers = transpose(proposals, n_recv)
+        rejections = []
+        for r in range(n_recv):
+            table = offers[r] | held[r]
+            keep = held[r] = choice(profile, receiver_id(r), table)
+            for p in bit_indices(table & ~keep):
+                rejections.append((p, r))
+                rejected_by[p] |= 1 << r
+        rejections.sort()
+        rounds.append(DARound(proposals, tuple(held), tuple(rejections)))
+        if not rejections:
+            break
+    assign = rounds[-1].proposals if proposing is Side.FIRM else rounds[-1].held
+    return Matching(tuple(assign), profile.n_workers), DATrace(proposing, tuple(rounds))
+
+
+def outcome(run, *args):
+    """The returned value, or the `NonTermination` message raised instead."""
+    try:
+        return run(*args)
+    except NonTermination as e:
+        return "NonTermination", str(e)
+
+
+class TestIncrementalRounds:
+    """Re-choosing only the cut proposers and the receivers with a new offer
+    gives the batch rounds exactly, on any lists, substitutable or not."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), arbitrary=st.booleans(), banned=st.booleans())
+    def test_equals_batch_da(self, data, arbitrary, banned):
+        profile = data.draw(small_markets(max_side=4) if arbitrary else markets)
+        for side in Side:
+            n_prop, n_recv = profile.side_size(side), profile.opposite_size(side)
+            bans = None
+            if banned:
+                bans = tuple(data.draw(st.integers(0, full_mask(n_recv))) for _ in range(n_prop))
+            got = outcome(deferred_acceptance, profile, side, bans)
+            assert got == outcome(batch_da, profile, side, bans)
+
+
+class TestWorkerView:
+    """A firm-proposing run hands its final offers over as the worker view."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(profile=markets, data=st.data())
+    def test_handed_over_view_is_the_transpose(self, profile, data):
+        bans = tuple(data.draw(st.integers(0, full_mask(profile.n_workers))) for _ in range(profile.n_firms))
+        m, _ = deferred_acceptance(profile, Side.FIRM, bans)
+        assert vars(m)["_worker_view"] == tuple(transpose(m.assign, profile.n_workers))
+
+    @settings(max_examples=100, deadline=None)
+    @given(profile=markets, data=st.data())
+    def test_view_leaves_equality_and_hash_alone(self, profile, data):
+        bans = tuple(data.draw(st.integers(0, full_mask(profile.n_workers))) for _ in range(profile.n_firms))
+        assign = deferred_acceptance(profile, Side.FIRM, bans)[0].assign
+        view = tuple(transpose(assign, profile.n_workers))
+        with_view = _with_worker_view(assign, profile.n_workers, view)
+        without = Matching(assign, profile.n_workers)
+        assert with_view == without and hash(with_view) == hash(without)
+        assert with_view.worker_view() == without.worker_view() == view
