@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, reduce
-from operator import index as _as_int, or_
+from operator import index as _as_int
 from typing import Iterable, Iterator, NamedTuple
 
 class CapExceeded(Exception):
@@ -110,24 +109,23 @@ class Preference:
     owner: AgentId
     ranked: tuple[int, ...]
     acceptable: int = field(init=False, compare=False, repr=False)
-    _choice_cache: dict[int, int] = field(init=False, compare=False, repr=False)
+    _singletons: int = field(init=False, compare=False, repr=False)
+    _choice_cache: dict[int, int] = field(default_factory=dict, init=False, compare=False, repr=False)
+    _band_cache: dict[tuple[int, int], int] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
-        if any(m <= 0 for m in self.ranked):
-            raise ValueError(f"empty set in ranking of {self.owner}")
+        acceptable = singletons = 0
+        for e in self.ranked:
+            if e <= 0:
+                raise ValueError(f"empty set in ranking of {self.owner}")
+            acceptable |= e
+            singletons |= 0 if e & (e - 1) else e
         if len(set(self.ranked)) != len(self.ranked):
             raise ValueError(f"duplicate set in ranking of {self.owner}")
-        object.__setattr__(self, "acceptable", reduce(or_, self.ranked, 0))
-        object.__setattr__(self, "_choice_cache", {})
-
-    # Built on first read, so that a list no reduction reads costs nothing extra.
-    @cached_property
-    def _band_cache(self) -> dict[tuple[int, int], int]:
-        return {}
-
-    @cached_property
-    def _singletons(self) -> int:
-        return reduce(or_, (e for e in self.ranked if e & (e - 1) == 0), 0)
+        object.__setattr__(self, "acceptable", acceptable)
+        object.__setattr__(self, "_singletons", singletons)
 
     def without(self, banned: int) -> "Preference":
         """The list minus every ranked set that meets `banned`, order kept."""

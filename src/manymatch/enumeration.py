@@ -63,6 +63,15 @@ def validate_profile(profile: Profile) -> None:
             raise failures[0]
 
 
+def _optima(profile: Profile, validate: bool) -> tuple[Matching, Matching, dict[tuple[int, ...], Matching]]:
+    """Validate if asked, then the firm and worker optima, and the two keyed by their firm-side masks."""
+    if validate:
+        validate_profile(profile)
+    mu_f, _ = deferred_acceptance(profile, Side.FIRM)
+    mu_w, _ = deferred_acceptance(profile, Side.WORKER)
+    return mu_f, mu_w, {mu_f.assign: mu_f, mu_w.assign: mu_w}
+
+
 class Expansion(NamedTuple):
     """One matching expanded during a step: its cycles and their matchings."""
 
@@ -91,11 +100,7 @@ def stable_set(profile: Profile, validate: bool = True) -> tuple[list[Matching],
     exactly when every newly produced cyclic matching is the worker optimum
     or already known. Output is sorted by firm-side masks.
     """
-    if validate:
-        validate_profile(profile)
-    mu_f, _ = deferred_acceptance(profile, Side.FIRM)
-    mu_w, _ = deferred_acceptance(profile, Side.WORKER)
-    found: dict[tuple[int, ...], Matching] = {mu_f.assign: mu_f, mu_w.assign: mu_w}
+    mu_f, mu_w, found = _optima(profile, validate)
     steps: list[EnumerationStep] = []
     frontier = [mu_f] if mu_f != mu_w else []
     while frontier:
@@ -154,11 +159,7 @@ def mms_algorithm(profile: Profile, validate: bool = True) -> tuple[list[Matchin
     failing the worker test are discarded even though chaining through them
     can be the only route to further stable matchings.
     """
-    if validate:
-        validate_profile(profile)
-    mu_f, _ = deferred_acceptance(profile, Side.FIRM)
-    mu_w, _ = deferred_acceptance(profile, Side.WORKER)
-    collected: dict[tuple[int, ...], Matching] = {mu_f.assign: mu_f, mu_w.assign: mu_w}
+    mu_f, mu_w, collected = _optima(profile, validate)
     records: list[TruncationCandidate] = []
     frontier: list[tuple[tuple[int, ...], Matching]] = [((0,) * profile.n_firms, mu_f)]
     step = 1

@@ -19,6 +19,8 @@ from .core import (
     worker,
 )
 
+_CAP = 10_000_000  # the most candidate matchings the oracle will search
+
 
 @dataclass(frozen=True)
 class Matching:
@@ -99,48 +101,47 @@ def stability(profile: Profile, m: Matching) -> StabilityReport:
     return StabilityReport(tuple(irrational), tuple(sorted(pairs)))
 
 
-def brute_force_stable_set(profile: Profile, cap: int = 10_000_000) -> list[Matching]:
+def brute_force_stable_set(profile: Profile) -> list[Matching]:
     """Exact stable set by a search that assumes neither axiom, the oracle the
     algorithms are tested against.
 
-    Firms are assigned in index order, each to the empty set or to a ranked
-    set it would keep as is. Once the last firm that ranks a worker has been
-    assigned, the worker's match and every firm it could block with are
-    final, so a branch ends at the first such worker that objects. `cap`
-    bounds the product of the firms' list lengths plus one. Returns matchings
-    sorted by their firm-side masks.
+    Each firm that ranks someone is assigned, in index order, the empty set
+    or a ranked set it would keep as is; the other firms stay unmatched.
+    Once the last firm that ranks a worker has been assigned, the worker's
+    match and every firm it could block with are final, so a branch ends at
+    the first such worker that objects. Raises CapExceeded when the product
+    of the searched firms' list lengths plus one passes a fixed 10,000,000;
+    each such firm at least doubles it, so the search is at most 23 firms
+    deep (2^24 > 10^7). Returns matchings sorted by their firm-side masks.
     """
-    total = 1
-    for pref in profile.firm_prefs:
+    searched = [(f, pref) for f, pref in enumerate(profile.firm_prefs) if pref.ranked]
+    levels, later, total = [], 0, 1  # levels: (firm, options, workers it settles)
+    for f, pref in reversed(searched):
         total *= len(pref.ranked) + 1
-        if total > cap:
-            raise CapExceeded(f"more than {cap} candidate matchings")
-    options = [
-        [0] + [e for e in pref.ranked if not _irrational(profile, firm(f), e)]
-        for f, pref in enumerate(profile.firm_prefs)
-    ]
-    settles, later = [], 0  # per firm: the workers no later firm ranks
-    for pref in reversed(profile.firm_prefs):
-        settles.append(list(bit_indices(pref.acceptable & ~later)))
+        if total > _CAP:
+            raise CapExceeded(f"more than {_CAP} candidate matchings")
+        options = [0] + [e for e in pref.ranked if not _irrational(profile, firm(f), e)]
+        levels.append((f, options, list(bit_indices(pref.acceptable & ~later))))
         later |= pref.acceptable
-    settles.reverse()
+    levels.reverse()
     assign, views, out = [0] * profile.n_firms, [0] * profile.n_workers, []
 
-    def extend(f: int) -> None:
-        if f == profile.n_firms:
+    def extend(depth: int) -> None:
+        if depth == len(levels):
             out.append(Matching(tuple(assign), profile.n_workers))
             return
-        for e in options[f]:
+        f, options, settles = levels[depth]
+        for e in options:
             assign[f] = e
             for w in bit_indices(e):
                 views[w] |= 1 << f
-            for w in settles[f]:
+            for w in settles:
                 if _irrational(profile, worker(w), views[w]):
                     break
                 if any(_blocking_pairs(profile, assign, views, (w,))):
                     break
             else:  # no settled worker objects
-                extend(f + 1)
+                extend(depth + 1)
             for w in bit_indices(e):
                 views[w] &= ~(1 << f)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import INT_DIGIT_LIMIT, MARKETS_DIR
-from manymatch import load_json, matching_to_obj, parse_market, stable_set
+from manymatch import Matching, load_json, matching_to_obj, parse_market, stable_set
 from manymatch.cli import main
 from manymatch.serialize import dumps
 
@@ -363,6 +363,34 @@ class TestComparisonCommands:
         assert rejected[0]["failures"] == [
             {"worker": "w1", "offered": ["f1", "f4"], "chosen": ["f1"], "required": ["f4"]}
         ]
+
+    def test_oracle_and_compare_on_1200_firms(self, capsys, tmp_path):
+        # Two firms rank a worker, and one worker ranks a firm: the oracle
+        # searches two firms deep, not one level per firm of the market.
+        market = str(tmp_path / "tall.json")
+        argv = ["gen", "--firms", "1200", "--workers", "2", "--prob", "0.001", "--seed", "3"]
+        assert run(capsys, *argv, "--out", market) == (0, "", "")
+        profile = parse_market(load_json(market))
+        everyone_unmatched = [Matching((0,) * 1200, 2)]
+        assert stable_set(profile)[0] == everyone_unmatched
+        code, out, _ = run(capsys, "oracle", market)
+        assert code == 0
+        assert out == dumps([matching_to_obj(m, profile) for m in everyone_unmatched])
+        code, out, _ = run(capsys, "compare", market)
+        assert code == 0
+        assert json.loads(out)["cycle_enumeration_matches_oracle"] is True
+
+    def test_oracle_past_the_cap_exits_3(self, capsys, tmp_path):
+        # 24 firms with one singleton each: 2^24 candidates pass the cap of 10^7.
+        names = [str(i) for i in range(1, 25)]
+        market = {
+            "firms": [f"f{i}" for i in names],
+            "workers": [f"w{i}" for i in names],
+            "firm_prefs": {f"f{i}": [[f"w{i}"]] for i in names},
+            "worker_prefs": {},
+        }
+        code, out, err = run(capsys, "oracle", write(tmp_path, "wide.json", market))
+        assert (code, out, err) == (3, "", "error: more than 10000000 candidate matchings\n")
 
 
 class TestGen:

@@ -12,9 +12,12 @@ from manymatch import (
     CapExceeded,
     GenConfig,
     Matching,
+    Preference,
     Profile,
     Side,
+    bit_indices,
     brute_force_stable_set,
+    choice,
     firm,
     random_market,
     rural_hospitals_holds,
@@ -99,9 +102,17 @@ class TestBruteForce:
         profile = build_profile(["w1"], ["", ""])
         assert brute_force_stable_set(profile) == [Matching((0,), 2)]
 
-    def test_cap(self, ex1):
-        with pytest.raises(CapExceeded):
-            brute_force_stable_set(ex1.profile, cap=10)
+    def test_cap(self):
+        # 24 firms with one singleton each: 2^24 candidates pass the fixed cap.
+        profile = build_profile([f"w{i + 1}" for i in range(24)], [""] * 24)
+        with pytest.raises(CapExceeded, match=r"^more than 10000000 candidate matchings$"):
+            brute_force_stable_set(profile)
+
+    def test_deepest_search_under_the_cap(self):
+        # 23 such firms, 2^23 candidates, are searched 23 levels deep; each
+        # worker ranks no one, so the only stable matching leaves all unmatched.
+        profile = build_profile([f"w{i + 1}" for i in range(23)], [""] * 23)
+        assert brute_force_stable_set(profile) == [Matching((0,) * 23, 23)]
 
 
 class TestBlairComparisons:
@@ -212,3 +223,61 @@ class TestAgainstTheDefinition:
             if _textbook_diagnosis(profile, assign) == ((), ())
         ]
         assert brute_force_stable_set(profile) == sorted(stable, key=lambda m: m.assign)
+
+
+def _firm_by_firm_oracle(profile: Profile) -> list[Matching]:
+    """The oracle as it once searched, kept as a reference: every firm in
+    index order, including a firm that ranks no one, is assigned the empty
+    set or a ranked set it would keep as is, and a branch ends at the first
+    worker that no later firm ranks and that objects."""
+
+    def keeps(agent, held):
+        return choice(profile, agent, held) == held
+
+    options = [[0] + [e for e in p.ranked if keeps(firm(f), e)] for f, p in enumerate(profile.firm_prefs)]
+    settles, later = [], 0  # per firm: the workers no later firm ranks
+    for pref in reversed(profile.firm_prefs):
+        settles.append(list(bit_indices(pref.acceptable & ~later)))
+        later |= pref.acceptable
+    settles.reverse()
+    assign, views, out = [0] * profile.n_firms, [0] * profile.n_workers, []
+
+    def objects(w: int) -> bool:
+        if not keeps(worker(w), views[w]):
+            return True
+        return any(
+            choice(profile, firm(f), assign[f] | 1 << w) >> w & 1
+            and choice(profile, worker(w), views[w] | 1 << f) >> f & 1
+            for f in bit_indices(profile.worker_prefs[w].acceptable & ~views[w])
+        )
+
+    def extend(f: int) -> None:
+        if f == profile.n_firms:
+            out.append(Matching(tuple(assign), profile.n_workers))
+            return
+        for e in options[f]:
+            assign[f] = e
+            for w in bit_indices(e):
+                views[w] |= 1 << f
+            if not any(objects(w) for w in settles[f]):
+                extend(f + 1)
+            for w in bit_indices(e):
+                views[w] &= ~(1 << f)
+
+    extend(0)
+    return sorted(out, key=lambda m: m.assign)
+
+
+@st.composite
+def _markets_with_empty_firm_lists(draw) -> Profile:
+    """`small_markets` with a drawn set of firms' lists emptied."""
+    profile = draw(small_markets())
+    empty = draw(st.sets(st.integers(0, profile.n_firms - 1))) if profile.n_firms else set()
+    firm_prefs = tuple(Preference(firm(f), ()) if f in empty else p for f, p in enumerate(profile.firm_prefs))
+    return Profile(profile.n_firms, profile.n_workers, firm_prefs, profile.worker_prefs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(profile=_markets_with_empty_firm_lists())
+def test_oracle_equals_the_firm_by_firm_reference(profile):
+    assert brute_force_stable_set(profile) == _firm_by_firm_oracle(profile)
