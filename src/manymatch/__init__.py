@@ -1,11 +1,12 @@
 """Stable matchings of many-to-many markets with substitutable set preferences.
 
-Core pieces: ranked set preferences and choice functions (`core`), stability
-and a brute-force oracle (`matching`), many-to-many deferred acceptance
-(`da`), reduction between comparable stable matchings (`reduction`),
-preference cycles (`cycles`), full-set enumeration and the truncation-based
-comparison algorithm (`enumeration`), a responsive random-market generator
-(`gen`), and JSON interchange plus a CLI (`serialize`, `cli`).
+Core pieces: ranked set preferences, choice functions and the axiom check
+behind `validate_profile` (`core`), stability and a brute-force oracle
+(`matching`), many-to-many deferred acceptance (`da`), reduction between
+comparable stable matchings (`reduction`), preference cycles (`cycles`),
+full-set enumeration and the truncation-based comparison algorithm
+(`enumeration`), a responsive random-market generator (`gen`), and JSON
+interchange plus a CLI (`serialize`, `cli`).
 
 `firm(i)` and `worker(i)` return the `AgentId` of agent i of that side, the
 same object on every call, for any int i. They are bound `dict.__getitem__`
@@ -15,6 +16,7 @@ dict's docstring instead of this one.
 
 from .core import (
     AgentId,
+    AxiomViolation,
     CapExceeded,
     Preference,
     Profile,
@@ -27,19 +29,18 @@ from .core import (
     is_substitutable,
     mask_of,
     satisfies_lad,
+    validate_profile,
     worker,
 )
 from .cycles import Cycle, cyclic_matching, find_cycles
 from .da import DATrace, NonTermination, deferred_acceptance
 from .enumeration import (
-    AxiomViolation,
     ComparisonReport,
     EnumerationTrace,
     MMSTrace,
     compare_algorithms,
     mms_algorithm,
     stable_set,
-    validate_profile,
 )
 from .gen import GenConfig, random_market
 from .matching import (

@@ -16,9 +16,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import CapExceeded, Side, _axiom_verdicts, bit_indices
+from .core import AxiomViolation, CapExceeded, Side, _axiom_report, bit_indices
 from .da import deferred_acceptance
-from .enumeration import AxiomViolation, _violations, compare_algorithms, mms_algorithm, stable_set
+from .enumeration import compare_algorithms, mms_algorithm, stable_set
 from .gen import GenConfig, random_market
 from .matching import Matching, brute_force_stable_set
 from .reduction import NotComparable, NotStable, reduce_profile, reduce_to_worker_optimal
@@ -56,11 +56,10 @@ def _fmt_matching(m: Matching, profile) -> str:
 
 def _cmd_validate(profile, args) -> int:
     failures = []
-    for agent in profile.agents():
-        sub, lad = _axiom_verdicts(profile, agent)
+    for agent, (sub, lad), violations in _axiom_report(profile):
         yes_no = f"substitutable={'yes' if sub else 'NO'} lad={'yes' if lad else 'NO'}"
         print(_printable(f"{profile.name(agent)}: {yes_no}"))
-        failures += _violations(profile, agent, (sub, lad))
+        failures += violations
     for err in failures:
         _note(str(err))
     return 2 if failures else 0

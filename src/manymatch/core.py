@@ -15,7 +15,7 @@ from operator import index as _as_int
 from typing import Iterable, Iterator, NamedTuple
 
 class CapExceeded(Exception):
-    """An operation would exceed its configured combinatorial budget."""
+    """An operation would exceed its fixed combinatorial budget."""
 
 
 class Side(Enum):
@@ -90,7 +90,8 @@ class Preference:
     fits the available pool.
 
     `acceptable` is the union of the ranked sets: every partner the agent
-    would accept. The list holds two caches:
+    would accept. `singletons` is the union of the entries that are single
+    partners. The list holds two caches:
 
     - `_choice_cache` memoizes choices keyed by `pool & acceptable`, since
       partners outside `acceptable` never change a choice.
@@ -109,7 +110,7 @@ class Preference:
     owner: AgentId
     ranked: tuple[int, ...]
     acceptable: int = field(init=False, compare=False, repr=False)
-    _singletons: int = field(init=False, compare=False, repr=False)
+    singletons: int = field(init=False, compare=False, repr=False)
     _choice_cache: dict[int, int] = field(default_factory=dict, init=False, compare=False, repr=False)
     _band_cache: dict[tuple[int, int], int] = field(
         default_factory=dict, init=False, compare=False, repr=False
@@ -125,15 +126,11 @@ class Preference:
         if len(set(self.ranked)) != len(self.ranked):
             raise ValueError(f"duplicate set in ranking of {self.owner}")
         object.__setattr__(self, "acceptable", acceptable)
-        object.__setattr__(self, "_singletons", singletons)
+        object.__setattr__(self, "singletons", singletons)
 
     def without(self, banned: int) -> "Preference":
         """The list minus every ranked set that meets `banned`, order kept."""
         return Preference(self.owner, tuple(e for e in self.ranked if not e & banned))
-
-    def singleton_mask(self) -> int:
-        """Union of the entries that are single partners (computed once per list)."""
-        return self._singletons
 
 
 @dataclass(frozen=True)
@@ -277,6 +274,42 @@ def satisfies_lad(profile: Profile, agent: AgentId) -> bool:
     only at the pools that can hold a violation: unions of two ranked sets.
     """
     return _axiom_verdicts(profile, agent)[1]
+
+
+SUBSTITUTABILITY = "substitutability"
+LAD = "law of aggregate demand"
+
+
+class AxiomViolation(Exception):
+    """`agent` fails `axiom` (SUBSTITUTABILITY or LAD); the message calls it
+    `name`, its name in the market."""
+
+    def __init__(self, agent: AgentId, axiom: str, name: str):
+        article = "the " if axiom == LAD else ""
+        super().__init__(f"{name} violates {article}{axiom}")
+        self.agent = agent
+        self.axiom = axiom
+
+
+def _axiom_report(profile: Profile) -> Iterator[tuple[AgentId, tuple[bool, bool], list[AxiomViolation]]]:
+    """Per agent in `agents()` order: the agent, its (substitutable, lad)
+    verdicts, and an AxiomViolation per axiom it fails, substitutability first."""
+    for agent in profile.agents():
+        verdicts = _axiom_verdicts(profile, agent)
+        failed = [a for a, ok in zip((SUBSTITUTABILITY, LAD), verdicts) if not ok]
+        yield agent, verdicts, [AxiomViolation(agent, a, profile.name(agent)) for a in failed]
+
+
+def validate_profile(profile: Profile) -> None:
+    """Raise AxiomViolation for the first agent failing substitutability or
+    the law of aggregate demand.
+
+    Validation is up-front for every agent: the cycle machinery silently
+    depends on both axioms, and failing fast beats returning a wrong set.
+    """
+    for _, _, violations in _axiom_report(profile):
+        if violations:
+            raise violations[0]
 
 
 def blair_geq(profile: Profile, agent: AgentId, s1: int, s2: int) -> bool:

@@ -14,53 +14,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import (
-    AgentId,
-    Profile,
-    Side,
-    _axiom_verdicts,
-    bit_indices,
-    choice,
-    worker,
-)
+from .core import Profile, Side, bit_indices, choice, validate_profile, worker
 from .cycles import Cycle, cyclic_matching, find_cycles
 from .da import deferred_acceptance
 from .matching import Matching, brute_force_stable_set
 from .reduction import reduce_profile
-
-
-SUBSTITUTABILITY = "substitutability"
-LAD = "law of aggregate demand"
-
-
-class AxiomViolation(Exception):
-    """`agent` fails `axiom` (SUBSTITUTABILITY or LAD); the message calls it
-    `name`, its name in the market."""
-
-    def __init__(self, agent: AgentId, axiom: str, name: str):
-        article = "the " if axiom == LAD else ""
-        super().__init__(f"{name} violates {article}{axiom}")
-        self.agent = agent
-        self.axiom = axiom
-
-
-def _violations(profile: Profile, agent: AgentId, verdicts: tuple[bool, bool]) -> list[AxiomViolation]:
-    """An AxiomViolation per axiom the agent's (substitutable, lad) verdicts fail, substitutability first."""
-    axioms = (SUBSTITUTABILITY, LAD)
-    return [AxiomViolation(agent, a, profile.name(agent)) for a, ok in zip(axioms, verdicts) if not ok]
-
-
-def validate_profile(profile: Profile) -> None:
-    """Raise AxiomViolation for the first agent failing substitutability or
-    the law of aggregate demand.
-
-    Validation is up-front for every agent: the cycle machinery silently
-    depends on both axioms, and failing fast beats returning a wrong set.
-    """
-    for agent in profile.agents():
-        failures = _violations(profile, agent, _axiom_verdicts(profile, agent))
-        if failures:
-            raise failures[0]
 
 
 def _optima(profile: Profile, validate: bool) -> tuple[Matching, Matching, dict[tuple[int, ...], Matching]]:

@@ -142,10 +142,10 @@ def reduce_profile(profile: Profile, mu: Matching, mu_tilde: Matching) -> Reduce
     # f bans every worker whose surviving singletons lack f, and vice versa.
     # The columns of each side's survivors are collected from the sparse rows.
     alive_by_w = transpose(  # per firm: workers whose singleton {f} survived
-        [p.singleton_mask() & ~b for p, b in zip(profile.worker_prefs, banned_w)], profile.n_firms
+        [p.singletons & ~b for p, b in zip(profile.worker_prefs, banned_w)], profile.n_firms
     )
     alive_by_f = transpose(  # per worker: firms whose singleton {w} survived
-        [p.singleton_mask() & ~b for p, b in zip(profile.firm_prefs, banned_f)], profile.n_workers
+        [p.singletons & ~b for p, b in zip(profile.firm_prefs, banned_f)], profile.n_workers
     )
     all_w = full_mask(profile.n_workers)
     all_f = full_mask(profile.n_firms)

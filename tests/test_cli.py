@@ -8,10 +8,21 @@ import os
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import INT_DIGIT_LIMIT, MARKETS_DIR
-from manymatch import Matching, load_json, matching_to_obj, parse_market, stable_set
+from conftest import INT_DIGIT_LIMIT, MARKETS_DIR, build_profile, small_markets
+from manymatch import (
+    AxiomViolation,
+    Matching,
+    is_substitutable,
+    load_json,
+    market_to_obj,
+    matching_to_obj,
+    parse_market,
+    satisfies_lad,
+    stable_set,
+    validate_profile,
+)
 from manymatch.cli import main
 from manymatch.serialize import dumps
 
@@ -155,6 +166,30 @@ class TestValidate:
     def test_newline_in_a_name_keeps_one_line_per_agent(self, capsys, tmp_path):
         code, out, err = run(capsys, "validate", write(tmp_path, "market.json", NEWLINE_NAME))
         assert (code, out, err) == (0, "a\\nb: substitutable=yes lad=yes\nw: substitutable=yes lad=yes\n", "")
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(profile=small_markets())
+    @example(profile=build_profile(["w1,w2w3"], ["f1", "f1", "f1"]))  # f1 fails both axioms
+    def test_report_agrees_with_the_library_on_arbitrary_lists(self, capsys, tmp_path, profile):
+        # Most drawn lists fail an axiom, so the error paths are the common case.
+        market = write(tmp_path, "market.json", market_to_obj(profile))
+        lines, violations = [], []
+        for agent in profile.agents():
+            name, sub, lad = profile.name(agent), is_substitutable(profile, agent), satisfies_lad(profile, agent)
+            lines.append(f"{name}: substitutable={'yes' if sub else 'NO'} lad={'yes' if lad else 'NO'}\n")
+            violations += [f"{name} violates substitutability\n"] * (not sub)
+            violations += [f"{name} violates the law of aggregate demand\n"] * (not lad)
+        code, out, err = run(capsys, "validate", market)
+        assert (code, out, err) == (2 if violations else 0, "".join(lines), "".join(violations))
+        if violations:
+            with pytest.raises(AxiomViolation) as raised:
+                validate_profile(profile)
+            assert violations[0] == f"{raised.value}\n"
+            assert run(capsys, "enumerate", market) == (2, "", f"error: {violations[0]}")
+        else:
+            validate_profile(profile)
+            code, _, err = run(capsys, "enumerate", market)
+            assert (code, err) == (0, "")
 
 
 class TestDa:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import golden
+import manymatch.enumeration as enumeration
 from conftest import (
     build_matching,
     build_profile,
@@ -102,6 +103,26 @@ class TestStableSet:
     def test_validate_profile_passes_examples(self, ex1, ex2):
         validate_profile(ex1.profile)
         validate_profile(ex2.profile)
+
+    @pytest.mark.parametrize(
+        "run, expected",
+        [
+            (stable_set, 1),
+            (mms_algorithm, 1),
+            (compare_algorithms, 1),
+            (lambda p: stable_set(p, validate=False), 0),
+            (lambda p: mms_algorithm(p, validate=False), 0),
+        ],
+        ids=["stable_set", "mms_algorithm", "compare_algorithms", "stable_set-unvalidated", "mms-unvalidated"],
+    )
+    def test_validation_goes_through_the_module_name(self, monkeypatch, ex1, run, expected):
+        # The benchmark's tracer wraps `enumeration.validate_profile`, so every
+        # validation must look that name up when it runs.
+        calls = []
+        wrapped = enumeration.validate_profile
+        monkeypatch.setattr(enumeration, "validate_profile", lambda p: calls.append(p) or wrapped(p))
+        run(ex1.profile)
+        assert calls == [ex1.profile] * expected
 
     @settings(max_examples=60, deadline=None)
     @given(profile=markets)

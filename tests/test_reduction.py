@@ -264,8 +264,8 @@ class TestMutualAcceptability:
             for f in range(profile.n_firms):
                 for w in range(profile.n_workers):
                     mutually_acceptable = (
-                        profile.firm_prefs[f].singleton_mask() >> w & 1
-                        and profile.worker_prefs[w].singleton_mask() >> f & 1
+                        profile.firm_prefs[f].singletons >> w & 1
+                        and profile.worker_prefs[w].singletons >> f & 1
                     )
                     if mutually_acceptable:
                         assert (reduced.banned_firm[f] >> w & 1) == (
@@ -283,8 +283,8 @@ class TestMutualAcceptability:
         mu_w = deferred_acceptance(profile, Side.WORKER)[0]
         for mu in stable:
             final = reduce_profile(profile, mu, mu_w).materialized
-            alive_f = [p.singleton_mask() for p in final.firm_prefs]
-            alive_w = [p.singleton_mask() for p in final.worker_prefs]
+            alive_f = [p.singletons for p in final.firm_prefs]
+            alive_w = [p.singletons for p in final.worker_prefs]
             mentioned_f = [0] * profile.n_firms
             for f, p in enumerate(final.firm_prefs):
                 for e in p.ranked:
