@@ -6,7 +6,8 @@ shapes, and writes `dumps(value)` to stdout or `--out`. `gen` reads no
 market; `validate` prints a text report and returns its exit code.
 
 Exit codes: 0 success, 1 malformed input (a malformed command line, or
-parse/reference/contract errors), 2 axiom violation, 3 combinatorial cap
+parse/reference/contract errors), 2 axiom violation (every command but
+`validate`, `oracle` and `gen` checks both axioms first), 3 combinatorial cap
 exceeded. Results go to stdout, traces and diagnostics to stderr; identical
 inputs and flags produce byte-identical output.
 """
@@ -16,12 +17,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import AxiomViolation, CapExceeded, Side, _axiom_report, bit_indices
+from .core import AxiomViolation, CapExceeded, Side, _axiom_report, bit_indices, validate_profile
 from .da import deferred_acceptance
 from .enumeration import compare_algorithms, mms_algorithm, stable_set
 from .gen import GenConfig, random_market
 from .matching import Matching, brute_force_stable_set
-from .reduction import NotComparable, NotStable, reduce_profile, reduce_to_worker_optimal
+from .reduction import reduce_profile, reduce_to_worker_optimal
 from .cycles import find_cycles
 from .serialize import (
     MarketFormatError,
@@ -66,6 +67,7 @@ def _cmd_validate(profile, args) -> int:
 
 
 def _cmd_da(profile, args):
+    validate_profile(profile)
     side = Side.FIRM if args.proposing == "firms" else Side.WORKER
     m, trace = deferred_acceptance(profile, side)
     if args.trace:
@@ -101,6 +103,7 @@ def _cmd_enumerate(profile, args):
 
 
 def _cmd_reduce(profile, args):
+    validate_profile(profile)
     mu = parse_matching(load_json(args.mu), profile)
     if args.mu_tilde:
         reduced = reduce_profile(profile, mu, parse_matching(load_json(args.mu_tilde), profile))
@@ -110,6 +113,7 @@ def _cmd_reduce(profile, args):
 
 
 def _cmd_cycles(profile, args):
+    validate_profile(profile)
     reduced = reduce_to_worker_optimal(profile, parse_matching(load_json(args.mu), profile))
     return [cycle_to_obj(c, profile) for c in find_cycles(reduced)]
 
@@ -214,8 +218,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    except (AxiomViolation, CapExceeded, ValueError, NotStable, NotComparable) as e:
-        # MarketFormatError is a ValueError: malformed input exits 1.
+    except (AxiomViolation, CapExceeded, ValueError) as e:
+        # MarketFormatError, NotStable and NotComparable are ValueErrors: malformed input exits 1.
         _note(f"error: {e}")
         return 2 if isinstance(e, AxiomViolation) else 3 if isinstance(e, CapExceeded) else 1
 

@@ -60,17 +60,14 @@ def deferred_acceptance(
     trace included, is DA on that truncated profile while every choice reads
     the base lists and their caches.
     """
-    receiving = proposing.opposite
     n_prop = profile.side_size(proposing)
-    n_recv = profile.side_size(receiving)
+    n_recv = profile.opposite_size(proposing)
     pool = full_mask(n_recv)
     if bans is None:
         bans = (0,) * n_prop
     elif len(bans) != n_prop:
         raise ValueError(f"{len(bans)} ban masks for {n_prop} proposers")
     proposer_id, receiver_id = (firm, worker) if proposing is Side.FIRM else (worker, firm)
-    proposers = [proposer_id(p) for p in range(n_prop)]  # ids built once per run
-    receivers = [receiver_id(r) for r in range(n_recv)]
     rejected_by = list(bans)  # receiver masks that cut (or ban) each proposer
     proposals = [0] * n_prop  # receiver mask each proposer currently offers to
     offers = [0] * n_recv  # proposer masks currently offering: transpose(proposals)
@@ -87,7 +84,7 @@ def deferred_acceptance(
         gained = 0  # receivers with an offer they did not have last round
         for p in movers:
             old = proposals[p]
-            new = proposals[p] = choice(profile, proposers[p], pool & ~rejected_by[p])
+            new = proposals[p] = choice(profile, proposer_id(p), pool & ~rejected_by[p])
             bit = 1 << p
             for r in bit_indices(old ^ new):  # p's bit flips where its offer changed
                 offers[r] ^= bit
@@ -95,8 +92,7 @@ def deferred_acceptance(
         rejections: list[tuple[int, int]] = []
         for r in bit_indices(gained):
             table = offers[r] | held[r]
-            keep = choice(profile, receivers[r], table)
-            held[r] = keep
+            keep = held[r] = choice(profile, receiver_id(r), table)
             for p in bit_indices(table & ~keep):
                 rejections.append((p, r))
                 rejected_by[p] |= 1 << r

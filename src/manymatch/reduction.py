@@ -22,11 +22,11 @@ from .da import deferred_acceptance
 from .matching import Matching, StabilityReport, stability, unanimous_blair_geq
 
 
-class NotStable(Exception):
+class NotStable(ValueError):
     """A matching handed to the reduction is not stable under the base profile."""
 
 
-class NotComparable(Exception):
+class NotComparable(ValueError):
     """The two matchings are not unanimously Blair-comparable for the firms."""
 
 

@@ -47,6 +47,33 @@ NOT_LAD = {
     "worker_prefs": {"ann": [["acme"], ["globex"]], "bob": [["globex"]], "cy": [["globex"]]},
 }
 
+# w1 accepts f1 and f2 only together, so it fails substitutability; the
+# empty matching is the market's only stable one.
+NOT_SUBSTITUTABLE_W1 = {
+    "firms": ["f1", "f2"],
+    "workers": ["w1"],
+    "firm_prefs": {"f1": [["w1"]], "f2": []},
+    "worker_prefs": {"w1": [["f1", "f2"]]},
+}
+
+# As above for w1, and f2 accepts w1 and w2 only together, so it fails
+# substitutability too; everyone is unmatched in the only stable matching.
+NOT_SUBSTITUTABLE_F2 = {
+    "firms": ["f1", "f2"],
+    "workers": ["w1", "w2"],
+    "firm_prefs": {"f1": [["w1"]], "f2": [["w1", "w2"]]},
+    "worker_prefs": {"w1": [["f1", "f2"]], "w2": []},
+}
+
+EMPTY_MATCHING = {"assignment": {}}
+
+_FILES = {
+    "NOT_LAD": NOT_LAD,
+    "NOT_SUBSTITUTABLE_W1": NOT_SUBSTITUTABLE_W1,
+    "NOT_SUBSTITUTABLE_F2": NOT_SUBSTITUTABLE_F2,
+    "EMPTY": EMPTY_MATCHING,
+}
+
 # Arbitrary JSON of bounded size, and market- and matching-shaped objects
 # with at most one field replaced by it, so that inputs reach every stage from
 # parsing to enumeration. The shaped objects name two to four agents with
@@ -660,7 +687,29 @@ class TestErrorPaths:
         )
         assert run(capsys, "enumerate", market)[0] == 2
 
-    @pytest.mark.parametrize("command", ["enumerate", "mms", "compare"])
-    def test_axiom_violation_names_the_agent(self, capsys, tmp_path, command):
-        market = write(tmp_path, "bad.json", NOT_LAD)
-        assert run(capsys, command, market) == (2, "", "error: globex violates the law of aggregate demand\n")
+    @pytest.mark.parametrize(
+        "argv, culprit",
+        [
+            (["enumerate", "NOT_LAD"], "globex violates the law of aggregate demand"),
+            (["mms", "NOT_LAD"], "globex violates the law of aggregate demand"),
+            (["compare", "NOT_LAD"], "globex violates the law of aggregate demand"),
+            (["da", "NOT_LAD", "--proposing", "firms"], "globex violates the law of aggregate demand"),
+            (["reduce", "NOT_LAD", "--mu", "EMPTY"], "globex violates the law of aggregate demand"),
+            (["cycles", "NOT_LAD", "--mu", "EMPTY"], "globex violates the law of aggregate demand"),
+            # Without the axiom check, the reduction calls the only stable
+            # matching of NOT_SUBSTITUTABLE_W1 unstable (exit 1), and
+            # firm-proposing DA matches f1 to w1 in NOT_SUBSTITUTABLE_F2,
+            # which w1 does not accept alone (exit 0).
+            (["cycles", "NOT_SUBSTITUTABLE_W1", "--mu", "EMPTY"], "w1 violates substitutability"),
+            (["reduce", "NOT_SUBSTITUTABLE_W1", "--mu", "EMPTY"], "w1 violates substitutability"),
+            (["da", "NOT_SUBSTITUTABLE_F2", "--proposing", "firms"], "f2 violates substitutability"),
+        ],
+        ids=["enumerate", "mms", "compare", "da", "reduce", "cycles", "cycles-w1", "reduce-w1", "da-f2"],
+    )
+    def test_axiom_violation_names_the_agent(self, capsys, tmp_path, argv, culprit):
+        argv = [write(tmp_path, f"{a}.json", _FILES[a]) if a in _FILES else a for a in argv]
+        assert run(capsys, *argv) == (2, "", f"error: {culprit}\n")
+
+    def test_oracle_does_not_check_the_axioms(self, capsys, tmp_path):
+        code, _, err = run(capsys, "oracle", write(tmp_path, "bad.json", NOT_LAD))
+        assert (code, err) == (0, "")

@@ -315,6 +315,14 @@ class TestInputValidation:
         with pytest.raises(NotComparable):
             reduce_profile(ex1.profile, ex1.mu_w, ex1.mu_f)
 
+    def test_bad_matchings_are_value_errors(self, ex1):
+        # An unstable or non-comparable matching is a bad argument value,
+        # caught like any other ValueError.
+        with pytest.raises(ValueError):
+            reduce_profile(ex1.profile, Matching((0, 0, 0), 6), ex1.mu_w)
+        with pytest.raises(ValueError):
+            reduce_profile(ex1.profile, ex1.mu_w, ex1.mu_f)
+
 
 def test_materialized_profile_reuses_names(ex1):
     reduced = reduce_profile(ex1.profile, ex1.mu_f, ex1.mu_w)
