@@ -113,12 +113,23 @@ def mms_algorithm(profile: Profile, validate: bool = True) -> tuple[list[Matchin
     The cuts are kept as per-firm banned-worker masks and handed to deferred
     acceptance as initial rejections, which equals truncating each list.
 
+    Two sources can lead to the same cut, and deferred acceptance is
+    deterministic, so each distinct cut is run once per call and its
+    candidate shared by every record that carries it. A worker whose set is
+    the same under nu and the candidate is not tested when the run ends with
+    every worker holding exactly its offers: a held set S is C(T) for some
+    table T, and under a first-fit list C(C(T)) = C(T), so that worker is
+    offered S, chooses S and cannot object. Only lists that are not
+    substitutable, run with validate=False, can end otherwise; then every
+    worker is tested.
+
     The returned set can be a strict subset of the stable set: candidates
     failing the worker test are discarded even though chaining through them
     can be the only route to further stable matchings.
     """
     mu_f, mu_w, collected = _optima(profile, validate)
     records: list[TruncationCandidate] = []
+    runs: dict[tuple[int, ...], tuple[Matching, bool]] = {}  # cut -> (candidate, all_rational)
     frontier: list[tuple[tuple[int, ...], Matching]] = [((0,) * profile.n_firms, mu_f)]
     step = 1
     while frontier:
@@ -127,8 +138,11 @@ def mms_algorithm(profile: Profile, validate: bool = True) -> tuple[list[Matchin
             for f in range(profile.n_firms):
                 for w in bit_indices(nu.assign[f] & ~mu_w.assign[f]):
                     cut = bans[:f] + (bans[f] | 1 << w,) + bans[f + 1 :]
-                    candidate, _ = deferred_acceptance(profile, Side.FIRM, cut)
-                    failures = _worker_objections(profile, nu, candidate)
+                    if cut not in runs:
+                        candidate, trace = deferred_acceptance(profile, Side.FIRM, cut)
+                        runs[cut] = candidate, trace.rounds[-1].held == candidate.worker_view()
+                    candidate, all_rational = runs[cut]
+                    failures = _worker_objections(profile, nu, candidate, all_rational)
                     accepted = not failures
                     records.append(
                         TruncationCandidate(step, nu, (f, w), candidate, accepted, failures)
@@ -143,12 +157,16 @@ def mms_algorithm(profile: Profile, validate: bool = True) -> tuple[list[Matchin
 
 
 def _worker_objections(
-    profile: Profile, nu: Matching, candidate: Matching
+    profile: Profile, nu: Matching, candidate: Matching, all_rational: bool
 ) -> tuple[tuple[int, int, int, int], ...]:
+    """Workers that, offered their firms under nu and the candidate, would not
+    keep exactly the candidate's; with `all_rational`, changed workers only."""
     old = nu.worker_view()
     new = candidate.worker_view()
     out = []
     for w in range(profile.n_workers):
+        if all_rational and old[w] == new[w]:
+            continue
         offered = old[w] | new[w]
         chosen = choice(profile, worker(w), offered)
         if chosen != new[w]:

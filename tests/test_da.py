@@ -18,6 +18,7 @@ from manymatch import (
     random_market,
     stability,
     unanimous_blair_geq,
+    validate_profile,
 )
 from manymatch.core import AgentId, bit_indices, choice, firm, full_mask, transpose, worker
 from manymatch.da import DARound, DATrace, NonTermination
@@ -219,6 +220,15 @@ class TestWorkerView:
         bans = tuple(data.draw(st.integers(0, full_mask(profile.n_workers))) for _ in range(profile.n_firms))
         m, _ = deferred_acceptance(profile, Side.FIRM, bans)
         assert vars(m)["_worker_view"] == tuple(transpose(m.assign, profile.n_workers))
+
+    @settings(max_examples=150, deadline=None)
+    @given(profile=markets, data=st.data())
+    def test_substitutable_run_ends_holding_exactly_the_offers(self, profile, data):
+        # The truncation algorithm skips unchanged workers only when this holds.
+        validate_profile(profile)
+        bans = tuple(data.draw(st.integers(0, full_mask(profile.n_workers))) for _ in range(profile.n_firms))
+        m, trace = deferred_acceptance(profile, Side.FIRM, bans)
+        assert trace.rounds[-1].held == m.worker_view()
 
     @settings(max_examples=100, deadline=None)
     @given(profile=markets, data=st.data())

@@ -15,6 +15,7 @@ from conftest import (
     check_lattice,
     entries,
     firm_join,
+    small_markets,
     wide_block_market,
     worker_meet,
 )
@@ -42,6 +43,7 @@ from manymatch import (
     validate_profile,
 )
 from manymatch.cli import main
+from manymatch.core import bit_indices, choice, worker
 from manymatch.da import DARound
 from manymatch.enumeration import EnumerationStep, Expansion, TruncationCandidate
 from manymatch.gen import _MAX_PARTNERS
@@ -283,6 +285,97 @@ class TestTruncationAlgorithm:
         matchings, _ = mms_algorithm(profile)
         oracle = {m.assign for m in brute_force_stable_set(profile)}
         assert {m.assign for m in matchings} <= oracle
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), arbitrary=st.booleans())
+    def test_equals_one_run_per_candidate(self, data, arbitrary):
+        # Arbitrary lists run unvalidated; gen markets are substitutable.
+        profile = data.draw(small_markets(max_side=4) if arbitrary else markets)
+        validate = not arbitrary
+        assert mms_algorithm(profile, validate) == reference_mms(profile, validate)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_one_run_per_candidate_where_cuts_repeat(self, seed):
+        profile, _ = wide_block_market(seed, n_blocks=3)
+        assert mms_algorithm(profile) == reference_mms(profile)
+
+    def test_unchanged_worker_is_tested_when_a_held_set_is_not_offered(self):
+        # Not substitutable: f3 ranks only {w1, w2}, so once w2 cuts it, it
+        # leaves w1, which still holds {f1, f3}. Held sets then differ from
+        # the offers, and w1, offered only its unchanged {f1} by nu and by
+        # the candidate, chooses no one: an objection a skip of unchanged
+        # workers would drop.
+        profile = build_profile(["w1w2,w1,w2", "w1,w2", "w1w2"], ["f1f3,f2", "f2"])
+        _, trace = mms_algorithm(profile, validate=False)
+        assert [(c.pair, c.candidate.assign, c.failures) for c in trace.candidates] == [
+            ((1, 1), (0b1, 0, 0), ((0, 0b1, 0, 0b1), (1, 0b10, 0b10, 0)))
+        ]
+        assert trace == reference_mms(profile, validate=False)[1]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_one_deferred_acceptance_run_per_distinct_cut(self, monkeypatch, seed):
+        profile, _ = wide_block_market(seed, n_blocks=3)
+        calls = []
+        wrapped = enumeration.deferred_acceptance
+        monkeypatch.setattr(
+            enumeration,
+            "deferred_acceptance",
+            lambda p, side, bans=None: calls.append((side, bans)) or wrapped(p, side, bans),
+        )
+        _, trace = mms_algorithm(profile)
+        # Rebuild each candidate's cut from the trace: its source's cut plus
+        # its own pair, where an accepted new candidate passes its cut on.
+        mu_f, mu_w = deferred_acceptance(profile, Side.FIRM)[0], deferred_acceptance(profile, Side.WORKER)[0]
+        cut_of = {mu_f.assign: (0,) * profile.n_firms}
+        cuts = []
+        for c in trace.candidates:
+            f, w = c.pair
+            cut = list(cut_of[c.source.assign])
+            cut[f] |= 1 << w
+            cuts.append(tuple(cut))
+            if c.accepted and c.candidate.assign not in cut_of and c.candidate != mu_w:
+                cut_of[c.candidate.assign] = tuple(cut)
+        distinct = list(dict.fromkeys(cuts))
+        assert len(distinct) < len(cuts)
+        assert calls == [(Side.FIRM, None), (Side.WORKER, None)] + [(Side.FIRM, c) for c in distinct]
+
+
+def reference_mms(profile, validate=True):
+    """`mms_algorithm` with one deferred-acceptance run per candidate and
+    every worker tested: the reference its per-cut memo and its skip of
+    unchanged workers must equal."""
+    mu_f, mu_w, collected = enumeration._optima(profile, validate)
+    records = []
+    frontier = [((0,) * profile.n_firms, mu_f)]
+    step = 1
+    while frontier:
+        added = []
+        for bans, nu in frontier:
+            for f in range(profile.n_firms):
+                for w in bit_indices(nu.assign[f] & ~mu_w.assign[f]):
+                    cut = bans[:f] + (bans[f] | 1 << w,) + bans[f + 1 :]
+                    candidate, _ = deferred_acceptance(profile, Side.FIRM, cut)
+                    failures = reference_objections(profile, nu, candidate)
+                    accepted = not failures
+                    records.append(TruncationCandidate(step, nu, (f, w), candidate, accepted, failures))
+                    if accepted and candidate.assign not in collected:
+                        collected[candidate.assign] = candidate
+                        added.append((cut, candidate))
+        frontier = added
+        step += 1
+    result = [collected[k] for k in sorted(collected)]
+    return result, MMSTrace(tuple(records), used_generic_step=step > 2)
+
+
+def reference_objections(profile, nu, candidate):
+    old, new = nu.worker_view(), candidate.worker_view()
+    out = []
+    for w in range(profile.n_workers):
+        offered = old[w] | new[w]
+        chosen = choice(profile, worker(w), offered)
+        if chosen != new[w]:
+            out.append((w, offered, chosen, new[w]))
+    return tuple(out)
 
 
 class TestNonResponsiveMarkets:
