@@ -293,9 +293,20 @@ class AxiomViolation(Exception):
 
 def _axiom_report(profile: Profile) -> Iterator[tuple[AgentId, tuple[bool, bool], list[AxiomViolation]]]:
     """Per agent in `agents()` order: the agent, its (substitutable, lad)
-    verdicts, and an AxiomViolation per axiom it fails, substitutability first."""
+    verdicts, and an AxiomViolation per axiom it fails, substitutability first.
+
+    Verdicts are computed once per list shape in one call. The shape is the
+    sorted nonzero columns (per partner, the mask of the list positions that
+    hold it): it fixes the list up to a renaming of partners, since partners
+    with equal columns can be swapped, and no axiom reads a partner's name.
+    """
+    by_shape: dict[tuple[int, ...], tuple[bool, bool]] = {}
     for agent in profile.agents():
-        verdicts = _axiom_verdicts(profile, agent)
+        pref = profile.pref(agent)
+        shape = tuple(sorted(c for c in transpose(pref.ranked, pref.acceptable.bit_length()) if c))
+        verdicts = by_shape.get(shape)
+        if verdicts is None:
+            verdicts = by_shape[shape] = _axiom_verdicts(profile, agent)
         failed = [a for a, ok in zip((SUBSTITUTABILITY, LAD), verdicts) if not ok]
         yield agent, verdicts, [AxiomViolation(agent, a, profile.name(agent)) for a in failed]
 

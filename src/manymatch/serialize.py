@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .core import Preference, Profile, bit_indices, firm, mask_of, worker
+from .core import Preference, Profile, bit_indices, firm, worker
 from .cycles import Cycle
 from .enumeration import ComparisonReport
 from .matching import Matching
@@ -56,11 +56,22 @@ def _names(value: Any, where: str) -> list[str]:
     return value
 
 
-def _mask(names: list[str], index: dict[str, int], owner: str) -> int:
+def _mask(value: Any, bits: dict[str, int], owner: str, what: str) -> int:
+    """`value`, read as `owner`'s `what`: a list of distinct names, each a key
+    of `bits` (name -> its bit), as a mask. A well-formed list is read in one
+    pass; anything else goes through `_names`, which says what is wrong."""
     try:
-        return mask_of(index[x] for x in names)
-    except KeyError as e:
-        raise MarketFormatError(f"{owner}: unknown name {e.args[0]!r}") from None
+        mask = 0
+        for name in value:
+            mask |= bits[name]
+        if type(value) is list and mask.bit_count() == len(value):
+            return mask
+    except (KeyError, TypeError):
+        pass
+    for name in _names(value, f"{owner}: {what}"):
+        if name not in bits:
+            raise MarketFormatError(f"{owner}: unknown name {name!r}")
+    return sum(bits[name] for name in value)  # a list subclass of distinct known names
 
 
 def parse_market(obj: Any) -> Profile:
@@ -73,7 +84,7 @@ def parse_market(obj: Any) -> Profile:
         raise MarketFormatError("firm and worker names must not collide")
 
     def side_prefs(key: str, owners: list[str], partners: list[str], make_owner):
-        index = {name: i for i, name in enumerate(partners)}
+        bits = {name: 1 << i for i, name in enumerate(partners)}
         raw = obj.get(key, {})
         if not isinstance(raw, dict):
             raise MarketFormatError(f"'{key}' must be an object")
@@ -87,7 +98,7 @@ def parse_market(obj: Any) -> Profile:
                 raise MarketFormatError(f"{name}: the ranking must be a list of ranked sets")
             ranked = {}  # an ordered set: a repeat is found without a scan
             for entry in entries:
-                mask = _mask(_names(entry, f"{name}: a ranked set"), index, name)
+                mask = _mask(entry, bits, name, "a ranked set")
                 if not mask:
                     raise MarketFormatError(f"{name}: a ranked set is empty")
                 if mask in ranked:
@@ -129,12 +140,12 @@ def parse_matching(obj: Any, profile: Profile) -> Matching:
     if not isinstance(assignment, dict):
         raise MarketFormatError("'assignment' must be an object")
     findex = {name: i for i, name in enumerate(profile.firm_names)}
-    windex = {name: i for i, name in enumerate(profile.worker_names)}
+    bits = {name: 1 << i for i, name in enumerate(profile.worker_names)}
     assign = [0] * profile.n_firms
     for name, members in assignment.items():
         if name not in findex:
             raise MarketFormatError(f"unknown firm {name!r} in assignment")
-        assign[findex[name]] = _mask(_names(members, f"{name}: assigned workers"), windex, name)
+        assign[findex[name]] = _mask(members, bits, name, "assigned workers")
     m = Matching(tuple(assign), profile.n_workers)
     if "unmatched" in obj:
         if sorted(_names(obj["unmatched"], "'unmatched'")) != sorted(_unmatched_names(m, profile)):

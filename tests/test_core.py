@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_profile, entries
+from conftest import build_profile, entries, small_markets
 from manymatch import (
     AxiomViolation,
     GenConfig,
@@ -27,7 +27,8 @@ from manymatch import (
     validate_profile,
     worker,
 )
-from manymatch.core import AgentId, Side, _axiom_verdicts
+from manymatch import core
+from manymatch.core import AgentId, Side, _axiom_report, _axiom_verdicts
 
 W = full_mask(6)
 
@@ -364,6 +365,64 @@ class TestValidateProfile:
             tuple(Preference(worker(i), ()) for i in range(4)),
         )
         assert _validation_outcome(profile) == _first_violation(profile)
+
+
+def _renamed(ranked: tuple[int, ...], perm: list[int]) -> tuple[int, ...]:
+    """The list with partner i renamed perm[i]."""
+    return tuple(mask_of(perm[i] for i in bit_indices(e)) for e in ranked)
+
+
+def _arbitrary_lists(width: int):
+    return st.lists(st.integers(1, (1 << width) - 1), unique=True, max_size=min(8, (1 << width) - 1)).map(tuple)
+
+
+@st.composite
+def markets_sharing_a_list(draw) -> Profile:
+    """Up to 4x4 with arbitrary lists, where some agents of each side hold
+    one drawn list under a random renaming of its partners."""
+    n_firms, n_workers = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def side_lists(count: int, width: int) -> list[tuple[int, ...]]:
+        shared = draw(_arbitrary_lists(width))
+        renamed = st.permutations(range(width)).map(lambda perm: _renamed(shared, perm))
+        return [draw(st.one_of(renamed, _arbitrary_lists(width))) for _ in range(count)]
+
+    firm_lists, worker_lists = side_lists(n_firms, n_workers), side_lists(n_workers, n_firms)
+    return Profile(
+        n_firms,
+        n_workers,
+        tuple(Preference(firm(i), r) for i, r in enumerate(firm_lists)),
+        tuple(Preference(worker(i), r) for i, r in enumerate(worker_lists)),
+    )
+
+
+class TestVerdictsPerShape:
+    """The report shares verdicts between lists of one shape; each must still
+    get what a check of its own list gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(profile=st.one_of(small_markets(max_side=3), markets_sharing_a_list()))
+    def test_equal_to_the_check_of_each_list(self, profile):
+        reported = [(agent, verdicts) for agent, verdicts, _ in _axiom_report(profile)]
+        assert reported == [(agent, _axiom_verdicts(profile, agent)) for agent in profile.agents()]
+
+    @pytest.mark.parametrize("quota", [1, 2, 3])
+    def test_one_check_for_a_full_acceptability_market(self, quota, monkeypatch):
+        # Every list gen builds depends only on its pool size and quota.
+        profile = random_market(GenConfig(12, 12, quota, 1.0, seed=1))
+        calls = []
+        monkeypatch.setattr(core, "_axiom_verdicts", lambda p, a: calls.append(a) or _axiom_verdicts(p, a))
+        validate_profile(profile)
+        assert len(calls) == 1
+
+    def test_list_caches_stay_empty(self):
+        # Validation reads its own tables, so the choice counts and the
+        # reduction's work after it are those of an unvalidated run.
+        for quota, prob in ((1, 1.0), (2, 0.5), (3, 0.6)):
+            profile = random_market(GenConfig(12, 12, quota, prob, seed=1))
+            validate_profile(profile)
+            for pref in profile.firm_prefs + profile.worker_prefs:
+                assert pref._choice_cache == {} and pref._band_cache == {}
 
 
 class TestBlair:
