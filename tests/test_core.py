@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_profile, entries, small_markets
+from conftest import _ranked_lists, build_profile, entries, small_markets
 from manymatch import (
     AxiomViolation,
     GenConfig,
@@ -372,10 +372,6 @@ def _renamed(ranked: tuple[int, ...], perm: list[int]) -> tuple[int, ...]:
     return tuple(mask_of(perm[i] for i in bit_indices(e)) for e in ranked)
 
 
-def _arbitrary_lists(width: int):
-    return st.lists(st.integers(1, (1 << width) - 1), unique=True, max_size=min(8, (1 << width) - 1)).map(tuple)
-
-
 @st.composite
 def markets_sharing_a_list(draw) -> Profile:
     """Up to 4x4 with arbitrary lists, where some agents of each side hold
@@ -383,9 +379,9 @@ def markets_sharing_a_list(draw) -> Profile:
     n_firms, n_workers = draw(st.integers(1, 4)), draw(st.integers(1, 4))
 
     def side_lists(count: int, width: int) -> list[tuple[int, ...]]:
-        shared = draw(_arbitrary_lists(width))
+        shared = draw(_ranked_lists(width))
         renamed = st.permutations(range(width)).map(lambda perm: _renamed(shared, perm))
-        return [draw(st.one_of(renamed, _arbitrary_lists(width))) for _ in range(count)]
+        return [draw(st.one_of(renamed, _ranked_lists(width))) for _ in range(count)]
 
     firm_lists, worker_lists = side_lists(n_firms, n_workers), side_lists(n_workers, n_firms)
     return Profile(
