@@ -37,29 +37,34 @@ from .serialize import (
 )
 
 
-def _printable(text: str) -> str:
-    """`text` with each unprintable character escaped as in a Python string
-    literal, so that an agent name can neither split a line nor fail to encode."""
-    return "".join(c if c.isprintable() else ascii(c)[1:-1] for c in text)
+def _print_line(text: str, file) -> None:
+    """Print `text` with each unprintable character escaped as in a Python string
+    literal, and each one `file` cannot encode escaped as `backslashreplace`
+    does, so that an agent name can neither split a line nor fail to encode."""
+    text = "".join(c if c.isprintable() else ascii(c)[1:-1] for c in text)
+    encoding = file.encoding or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding), file=file)
 
 
 def _note(text: str) -> None:
-    print(_printable(text), file=sys.stderr)
+    _print_line(text, sys.stderr)
+
+
+def _fmt_rows(owners: tuple[str, ...], sep: str, partners: tuple[str, ...], masks: tuple[int, ...]) -> str:
+    """Each owner's name, `sep`, then the partner names in its mask or `-` for none."""
+    rows = (o + sep + ("".join(partners[i] for i in bit_indices(m)) or "-") for o, m in zip(owners, masks))
+    return " ".join(rows)
 
 
 def _fmt_matching(m: Matching, profile) -> str:
-    parts = []
-    for f in range(profile.n_firms):
-        ws = "".join(profile.worker_names[w] for w in bit_indices(m.assign[f]))
-        parts.append(f"{profile.firm_names[f]}:{ws or '-'}")
-    return " ".join(parts)
+    return _fmt_rows(profile.firm_names, ":", profile.worker_names, m.assign)
 
 
 def _cmd_validate(profile, args) -> int:
     failures = []
     for agent, (sub, lad), violations in _axiom_report(profile):
         yes_no = f"substitutable={'yes' if sub else 'NO'} lad={'yes' if lad else 'NO'}"
-        print(_printable(f"{profile.name(agent)}: {yes_no}"))
+        _print_line(f"{profile.name(agent)}: {yes_no}", sys.stdout)
         failures += violations
     for err in failures:
         _note(str(err))
@@ -74,10 +79,7 @@ def _cmd_da(profile, args):
         prop_names = profile.firm_names if side is Side.FIRM else profile.worker_names
         recv_names = profile.worker_names if side is Side.FIRM else profile.firm_names
         for t, rnd in enumerate(trace.rounds, start=1):
-            offers = " ".join(
-                f"{prop_names[p]}->{''.join(recv_names[r] for r in bit_indices(mask)) or '-'}"
-                for p, mask in enumerate(rnd.proposals)
-            )
+            offers = _fmt_rows(prop_names, "->", recv_names, rnd.proposals)
             rejs = " ".join(f"{recv_names[r]}/{prop_names[p]}" for p, r in rnd.rejections) or "none"
             _note(f"round {t}: {offers}; rejections: {rejs}")
     return matching_to_obj(m, profile)

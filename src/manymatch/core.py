@@ -166,9 +166,8 @@ class Profile:
             for i, pref in enumerate(prefs):
                 if pref.owner != AgentId(side, i):
                     raise ValueError(f"preference at {side.value} {i} owned by {pref.owner}")
-                for entry in pref.ranked:
-                    if entry >> width:
-                        raise ValueError(f"{side.value} {i} ranks partners outside the market")
+                if pref.acceptable >> width:  # the union of the ranked sets
+                    raise ValueError(f"{side.value} {i} ranks partners outside the market")
 
     def side_size(self, side: Side) -> int:
         return self.n_firms if side is _FIRM else self.n_workers

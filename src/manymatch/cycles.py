@@ -40,33 +40,29 @@ def _successors(reduced: ReducedProfile) -> dict[Pair, Pair]:
     one new worker w' and keeps the rest of mu(f); and w', offered f on top
     of mu(w'), keeps f and drops exactly one firm f', with (w', f') in v1.
     The defining choice equations pin at most one such successor per pair,
-    so the map is a function. It is built in sorted v1 order and leaves out
-    a pair with no successor.
+    so the map is a function. It leaves out a pair with no successor.
     """
     mu, mut = reduced.mu, reduced.mu_tilde
     pool = full_mask(reduced.base.n_workers)
     wv_mu = mu.worker_view()
     wv_mut = mut.worker_view()
     succ: dict[Pair, Pair] = {}
-    for w, f in sorted(
-        (w, f)
-        for f in range(reduced.base.n_firms)
-        for w in bit_indices(mu.assign[f] & ~mut.assign[f])
-    ):
-        kept = mu.assign[f] & ~(1 << w)
-        chosen = reduced.choice_reduced(firm(f), pool & ~(1 << w))
-        extra = chosen & ~kept
-        if chosen & kept != kept or not extra or extra & (extra - 1):
-            continue
-        w_next = extra.bit_length() - 1
-        mine = wv_mu[w_next]
-        chosen = reduced.choice_reduced(worker(w_next), mine | (1 << f))
-        dropped = mine & ~chosen
-        if not chosen >> f & 1 or not dropped or dropped & (dropped - 1):
-            continue
-        f_next = dropped.bit_length() - 1
-        if (mine & ~wv_mut[w_next]) >> f_next & 1:
-            succ[(w, f)] = (w_next, f_next)
+    for f in range(reduced.base.n_firms):
+        for w in bit_indices(mu.assign[f] & ~mut.assign[f]):
+            kept = mu.assign[f] & ~(1 << w)
+            chosen = reduced.choice_reduced(firm(f), pool & ~(1 << w))
+            extra = chosen & ~kept
+            if chosen & kept != kept or not extra or extra & (extra - 1):
+                continue
+            w_next = extra.bit_length() - 1
+            mine = wv_mu[w_next]
+            chosen = reduced.choice_reduced(worker(w_next), mine | (1 << f))
+            dropped = mine & ~chosen
+            if not chosen >> f & 1 or not dropped or dropped & (dropped - 1):
+                continue
+            f_next = dropped.bit_length() - 1
+            if (mine & ~wv_mut[w_next]) >> f_next & 1:
+                succ[(w, f)] = (w_next, f_next)
     return succ
 
 
@@ -96,10 +92,10 @@ def find_cycles(reduced: ReducedProfile) -> list[Cycle]:
     """All cycles of the reduced profile, canonicalized and sorted.
 
     Each v1 pair has at most one successor, so every pair lies on at most one
-    loop of the successor map: walking it with path marking enumerates every
-    elementary cycle exactly once. Each candidate is still re-verified against
-    the defining conditions before being emitted, as a guard on the map's
-    construction. Nonempty exactly when mu differs from mu_tilde.
+    loop of the successor map: walking it with path marking, from its pairs in
+    any order, finds every elementary cycle exactly once. Each is re-verified
+    against the defining conditions before being emitted, as a guard on the
+    map's construction. Nonempty exactly when mu differs from mu_tilde.
     """
     succ = _successors(reduced)
     done: set[Pair] = set()

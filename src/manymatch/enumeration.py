@@ -115,13 +115,12 @@ def mms_algorithm(profile: Profile, validate: bool = True) -> tuple[list[Matchin
 
     Two sources can lead to the same cut, and deferred acceptance is
     deterministic, so each distinct cut is run once per call and its
-    candidate shared by every record that carries it. A worker whose set is
-    the same under nu and the candidate is not tested when the run ends with
-    every worker holding exactly its offers: a held set S is C(T) for some
-    table T, and under a first-fit list C(C(T)) = C(T), so that worker is
-    offered S, chooses S and cannot object. Only lists that are not
-    substitutable, run with validate=False, can end otherwise; then every
-    worker is tested.
+    candidate shared by every record that carries it. A worker is not tested
+    when its set is the same under nu and the candidate and equals what it
+    held when the run ended: a held set S is C(T) for some table T, and under
+    a first-fit list C(C(T)) = C(T), so that worker is offered S, chooses S
+    and cannot object. On substitutable lists every worker holds exactly its
+    offers, so every unchanged worker is skipped.
 
     The returned set can be a strict subset of the stable set: candidates
     failing the worker test are discarded even though chaining through them
@@ -129,7 +128,7 @@ def mms_algorithm(profile: Profile, validate: bool = True) -> tuple[list[Matchin
     """
     mu_f, mu_w, collected = _optima(profile, validate)
     records: list[TruncationCandidate] = []
-    runs: dict[tuple[int, ...], tuple[Matching, bool]] = {}  # cut -> (candidate, all_rational)
+    runs: dict[tuple[int, ...], tuple[Matching, tuple[int, ...]]] = {}  # cut -> (candidate, held)
     frontier: list[tuple[tuple[int, ...], Matching]] = [((0,) * profile.n_firms, mu_f)]
     step = 1
     while frontier:
@@ -140,9 +139,9 @@ def mms_algorithm(profile: Profile, validate: bool = True) -> tuple[list[Matchin
                     cut = bans[:f] + (bans[f] | 1 << w,) + bans[f + 1 :]
                     if cut not in runs:
                         candidate, trace = deferred_acceptance(profile, Side.FIRM, cut)
-                        runs[cut] = candidate, trace.rounds[-1].held == candidate.worker_view()
-                    candidate, all_rational = runs[cut]
-                    failures = _worker_objections(profile, nu, candidate, all_rational)
+                        runs[cut] = candidate, trace.rounds[-1].held
+                    candidate, held = runs[cut]
+                    failures = _worker_objections(profile, nu, candidate, held)
                     accepted = not failures
                     records.append(
                         TruncationCandidate(step, nu, (f, w), candidate, accepted, failures)
@@ -157,15 +156,16 @@ def mms_algorithm(profile: Profile, validate: bool = True) -> tuple[list[Matchin
 
 
 def _worker_objections(
-    profile: Profile, nu: Matching, candidate: Matching, all_rational: bool
+    profile: Profile, nu: Matching, candidate: Matching, held: tuple[int, ...]
 ) -> tuple[tuple[int, int, int, int], ...]:
     """Workers that, offered their firms under nu and the candidate, would not
-    keep exactly the candidate's; with `all_rational`, changed workers only."""
+    keep exactly the candidate's; a worker whose set is unchanged and equals
+    its `held` set is not tested."""
     old = nu.worker_view()
     new = candidate.worker_view()
     out = []
     for w in range(profile.n_workers):
-        if all_rational and old[w] == new[w]:
+        if old[w] == new[w] == held[w]:
             continue
         offered = old[w] | new[w]
         chosen = choice(profile, worker(w), offered)

@@ -79,7 +79,5 @@ def _draw_preference(
 def _shuffle(rng: random.Random, xs: list) -> None:
     """Fisher-Yates driven by rng.random() only."""
     for i in range(len(xs) - 1, 0, -1):
-        j = int(rng.random() * (i + 1))
-        if j > i:
-            j = i
+        j = int(rng.random() * (i + 1))  # <= i: (1 - 2**-53) * n rounds below n for n >= 2
         xs[i], xs[j] = xs[j], xs[i]

@@ -81,6 +81,19 @@ def small_markets(draw, max_side: int = 3) -> Profile:
     )
 
 
+def gen_markets(max_workers: int, probs: list[float]):
+    """`gen` markets of 2-4 firms, 2 to max_workers workers, quota 1 or 2 and
+    an acceptability probability drawn from `probs`."""
+    return st.builds(
+        lambda nf, nw, q, prob, seed: random_market(GenConfig(nf, nw, q, prob, seed)),
+        st.integers(2, 4),
+        st.integers(2, max_workers),
+        st.integers(1, 2),
+        st.sampled_from(probs),
+        st.integers(0, 100_000),
+    )
+
+
 def build_matching(firm_rows: list[str], n_workers: int) -> Matching:
     masks = []
     for row in firm_rows:

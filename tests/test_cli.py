@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import errno
+import io
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -193,6 +195,26 @@ class TestValidate:
     def test_newline_in_a_name_keeps_one_line_per_agent(self, capsys, tmp_path):
         code, out, err = run(capsys, "validate", write(tmp_path, "market.json", NEWLINE_NAME))
         assert (code, out, err) == (0, "a\\nb: substitutable=yes lad=yes\nw: substitutable=yes lad=yes\n", "")
+
+    def test_name_stdout_cannot_encode_is_escaped(self, monkeypatch, tmp_path):
+        # As under PYTHONIOENCODING=ascii: stdout is strict, stderr escapes.
+        market = {
+            "firms": ["f\u0142"],
+            "workers": ["w1"],
+            "firm_prefs": {"f\u0142": [["w1"]]},
+            "worker_prefs": {"w1": [["f\u0142"]]},
+        }
+        out, err = io.BytesIO(), io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out, encoding="ascii"))
+        monkeypatch.setattr(sys, "stderr", io.TextIOWrapper(err, encoding="ascii", errors="backslashreplace"))
+        code = main(["validate", write(tmp_path, "market.json", market)])
+        sys.stdout.flush()
+        sys.stderr.flush()
+        assert (code, out.getvalue(), err.getvalue()) == (
+            0,
+            b"f\\u0142: substitutable=yes lad=yes\nw1: substitutable=yes lad=yes\n",
+            b"",
+        )
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(profile=small_markets())

@@ -588,9 +588,15 @@ class TestProfileInvariants:
             Preference(firm(0), (0,))
 
     def test_out_of_range_partner_rejected(self):
-        # One firm, two workers: ranking w5 points outside the market.
-        with pytest.raises(ValueError):
-            build_profile(["w5"], ["f1", ""])
+        # One firm, two workers: ranking w5 or f2 points outside the market,
+        # also when the stray partner sits in a later ranked set.
+        for firm_rows, worker_rows, agent in (
+            (["w5"], ["f1", ""], "firm 0"),
+            (["w1,w2w5"], ["f1", ""], "firm 0"),
+            (["w1"], ["f1", "f1,f2"], "worker 1"),
+        ):
+            with pytest.raises(ValueError, match=f"^{agent} ranks partners outside the market$"):
+                build_profile(firm_rows, worker_rows)
 
     def test_no_side_cap(self):
         wide = Profile(65, 1, tuple(Preference(firm(i), ()) for i in range(65)), (Preference(worker(0), ()),))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import golden
-from conftest import build_profile
+from conftest import build_profile, gen_markets, wide_block_market
 from manymatch import (
     Cycle,
     GenConfig,
@@ -24,18 +24,12 @@ from manymatch import (
     rural_hospitals_holds,
     stability,
     unanimous_blair_geq,
+    validate_profile,
     worker,
 )
 from manymatch.cycles import _successors, satisfies_cycle_conditions
 
-markets = st.builds(
-    lambda nf, nw, q, prob, seed: random_market(GenConfig(nf, nw, q, prob, seed)),
-    st.integers(2, 4),
-    st.integers(2, 4),
-    st.integers(1, 2),
-    st.sampled_from([0.6, 0.9, 1.0]),
-    st.integers(0, 100_000),
-)
+markets = gen_markets(4, [0.6, 0.9, 1.0])
 
 
 def reference_successors(reduced) -> dict:
@@ -62,6 +56,20 @@ def reference_successors(reduced) -> dict:
             ):
                 succ[(w, f)] = (w_next, f_next)
     return succ
+
+
+def walk_loops(succ: dict, starts) -> list:
+    """The loops of the map `succ`, walked from each of `starts` in turn,
+    rotated to their smallest pair and sorted."""
+    loops = set()
+    for node in starts:
+        path = []
+        while node in succ and node not in path:
+            path.append(node)
+            node = succ[node]
+        if node in path:
+            loops.add(Cycle.from_pairs(tuple(path[path.index(node):])))
+    return sorted(loops)
 
 
 # Markets on which a guard of `_successors` is the only thing that keeps a
@@ -98,9 +106,9 @@ class TestSuccessorMap:
     def test_example1_first_node_set(self, ex1):
         reduced = reduce_profile(ex1.profile, ex1.mu_f, ex1.mu_w)
         succ = _successors(reduced)
-        # Matched under mu_F but not mu_W, in sorted order; w5 and the f3-w2
-        # partnership persist. Each pair points at the next pair of its cycle.
-        assert list(succ) == [(0, 0), (1, 0), (2, 1), (3, 2)]
+        # Matched under mu_F but not mu_W; w5 and the f3-w2 partnership
+        # persist. Each pair points at the next pair of its cycle.
+        assert sorted(succ) == [(0, 0), (1, 0), (2, 1), (3, 2)]
         expected = {}
         for cycle in (golden.EX1_SIGMA1, golden.EX1_SIGMA2):
             for i, node in enumerate(cycle):
@@ -130,7 +138,7 @@ class TestSuccessorMap:
                 for f in range(profile.n_firms)
                 for w in bit_indices(mu.assign[f] & ~mu_w.assign[f])
             )
-            assert list(succ) == v1
+            assert sorted(succ) == v1
             assert set(succ.values()) <= set(v1)
 
     def test_reference_agrees_on_example1(self, ex1):
@@ -191,6 +199,31 @@ class TestFindCycles:
                 for rotation in range(len(c.pairs)):
                     rotated = c.pairs[rotation:] + c.pairs[:rotation]
                     assert Cycle.from_pairs(rotated) == c
+
+    @settings(max_examples=30, deadline=None)
+    @given(profile=markets, data=st.data())
+    def test_matches_a_walk_of_the_reference_map(self, profile, data):
+        # The loops do not depend on where a walk starts, and find_cycles
+        # returns them canonicalized and sorted, whatever order it walks in.
+        validate_profile(profile)
+        mu_w = deferred_acceptance(profile, Side.WORKER)[0]
+        for mu in brute_force_stable_set(profile):
+            reduced = reduce_profile(profile, mu, mu_w)
+            succ = reference_successors(reduced)
+            starts = data.draw(st.permutations(sorted(succ)))
+            assert find_cycles(reduced) == walk_loops(succ, starts)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    def test_matches_a_walk_of_the_reference_map_on_wide_blocks(self, seed, data):
+        profile, stable = wide_block_market(seed)
+        validate_profile(profile)
+        mu_w = deferred_acceptance(profile, Side.WORKER)[0]
+        for assign in stable:
+            reduced = reduce_profile(profile, Matching(assign, profile.n_workers), mu_w)
+            succ = reference_successors(reduced)
+            starts = data.draw(st.permutations(sorted(succ)))
+            assert find_cycles(reduced) == walk_loops(succ, starts)
 
 
 class TestCycleConditions:

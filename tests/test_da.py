@@ -7,15 +7,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_profile, small_markets
+from conftest import build_profile, gen_markets, small_markets
 from manymatch import (
-    GenConfig,
     Matching,
     Side,
     blair_geq,
     brute_force_stable_set,
     deferred_acceptance,
-    random_market,
     stability,
     unanimous_blair_geq,
     validate_profile,
@@ -24,14 +22,7 @@ from manymatch.core import AgentId, bit_indices, choice, firm, full_mask, transp
 from manymatch.da import DARound, DATrace, NonTermination
 from manymatch.matching import _with_worker_view
 
-markets = st.builds(
-    lambda nf, nw, q, prob, seed: random_market(GenConfig(nf, nw, q, prob, seed)),
-    st.integers(2, 4),
-    st.integers(2, 5),
-    st.integers(1, 2),
-    st.sampled_from([0.5, 0.8, 1.0]),
-    st.integers(0, 100_000),
-)
+markets = gen_markets(5, [0.5, 0.8, 1.0])
 
 
 class TestExamples:

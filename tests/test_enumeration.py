@@ -15,6 +15,7 @@ from conftest import (
     check_lattice,
     entries,
     firm_join,
+    gen_markets,
     small_markets,
     wide_block_market,
     worker_meet,
@@ -49,14 +50,7 @@ from manymatch.enumeration import EnumerationStep, Expansion, TruncationCandidat
 from manymatch.gen import _MAX_PARTNERS
 from manymatch.serialize import dumps
 
-markets = st.builds(
-    lambda nf, nw, q, prob, seed: random_market(GenConfig(nf, nw, q, prob, seed)),
-    st.integers(2, 4),
-    st.integers(2, 5),
-    st.integers(1, 2),
-    st.sampled_from([0.5, 0.8, 1.0]),
-    st.integers(0, 100_000),
-)
+markets = gen_markets(5, [0.5, 0.8, 1.0])
 
 SINGLETON_MARKET = (["w1,w2", "w2,w1"], ["f1,f2", "f2,f1"])
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +15,7 @@ from manymatch import (
     random_market,
     satisfies_lad,
 )
-from manymatch.gen import _MAX_PARTNERS
+from manymatch.gen import _MAX_PARTNERS, _shuffle
 
 configs = st.builds(
     GenConfig,
@@ -117,3 +119,22 @@ def test_names_follow_side_and_index():
     profile = random_market(GenConfig(2, 3, seed=0))
     assert profile.firm_names == ("f1", "f2")
     assert profile.worker_names == ("w1", "w2", "w3")
+
+
+def test_shuffle_index_never_passes_i():
+    # random() is at most 1 - 2**-53; times any n >= 2 that rounds below n,
+    # so _shuffle's j = int(random() * (i + 1)) never exceeds i.
+    top = math.nextafter(1.0, 0.0)
+    edges = {m for k in range(1, 54) for m in (2**k - 1, 2**k, 2**k + 1) if 2 <= m <= 2**53}
+    for n in sorted(set(range(2, 4097)) | edges):
+        assert int(top * n) <= n - 1, n
+
+
+def test_shuffle_at_the_largest_draw_swaps_nothing():
+    class Top:
+        def random(self):
+            return math.nextafter(1.0, 0.0)
+
+    xs = list(range(50))
+    _shuffle(Top(), xs)
+    assert xs == list(range(50))

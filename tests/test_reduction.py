@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import golden
-from conftest import compact_rows, wide_block_market
+from conftest import compact_rows, gen_markets, wide_block_market
 from manymatch import (
-    GenConfig,
     NotComparable,
     NotStable,
     Matching,
@@ -32,14 +31,7 @@ from manymatch.core import AgentId, firm, worker
 from manymatch.reduction import _step12_banned
 from test_acceptance import CORPUS_SIZE, corpus_config
 
-markets = st.builds(
-    lambda nf, nw, q, prob, seed: random_market(GenConfig(nf, nw, q, prob, seed)),
-    st.integers(2, 4),
-    st.integers(2, 4),
-    st.integers(1, 2),
-    st.sampled_from([0.6, 0.9, 1.0]),
-    st.integers(0, 100_000),
-)
+markets = gen_markets(4, [0.6, 0.9, 1.0])
 
 
 class TestGoldenLists:
