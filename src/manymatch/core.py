@@ -245,8 +245,6 @@ def _axiom_verdicts(profile: Profile, agent: AgentId) -> tuple[bool, bool]:
                 shrunk = table[pool ^ bit] = _first_fit(ranked, pool ^ bit)
             substitutable &= not chosen & ~bit & ~shrunk
             lad &= shrunk.bit_count() <= size
-        if not (substitutable or lad):
-            break
     return substitutable, lad
 
 

@@ -77,23 +77,22 @@ def _step12_banned(profile: Profile, agent: AgentId, top: int, bot: int) -> int:
     Both assigned sets must be individually rational (the caller has checked
     stability). Then a partner outside every ranked set is always banned by
     the second test, since choice(bot | {b}) = choice(bot) = bot, so only
-    acceptable partners are tested. Those bans depend on the list, top and
-    bot alone, so they are memoized on the list; the rest depends on the
-    profile's side size and is recomputed per call.
+    acceptable partners are tested and returned; the caller bans the rest.
+    These bans depend on the list, top and bot alone, so they are memoized
+    on the list.
     """
     pref = profile.pref(agent)
-    acceptable = pref.acceptable
     within = pref._band_cache.get((top, bot))
     if within is None:
         within = 0
-        for b in bit_indices(acceptable):
+        for b in bit_indices(pref.acceptable):
             bit = 1 << b
             if not top & bit and choice(profile, agent, top | bit) & bit:
                 within |= bit
             elif not bot & bit and choice(profile, agent, bot | bit) == bot:
                 within |= bit
         pref._band_cache[(top, bot)] = within
-    return within | (full_mask(profile.opposite_size(agent.side)) & ~acceptable)
+    return within
 
 
 def _describe(profile: Profile, report: StabilityReport) -> str:
@@ -138,19 +137,19 @@ def reduce_profile(profile: Profile, mu: Matching, mu_tilde: Matching) -> Reduce
         for w in range(profile.n_workers)
     ]
 
-    # Mutual-acceptability pass over the post-step-2 singleton survivors:
-    # f bans every worker whose surviving singletons lack f, and vice versa.
+    # Final masks, with mutual acceptability: f bans every worker outside its
+    # list or whose post-step-2 surviving singletons lack f, and vice versa.
     # The columns of each side's survivors are collected from the sparse rows.
+    firm_prefs, worker_prefs = profile.firm_prefs, profile.worker_prefs
     alive_by_w = transpose(  # per firm: workers whose singleton {f} survived
-        [p.singletons & ~b for p, b in zip(profile.worker_prefs, banned_w)], profile.n_firms
+        [p.singletons & ~b for p, b in zip(worker_prefs, banned_w)], profile.n_firms
     )
     alive_by_f = transpose(  # per worker: firms whose singleton {w} survived
-        [p.singletons & ~b for p, b in zip(profile.firm_prefs, banned_f)], profile.n_workers
+        [p.singletons & ~b for p, b in zip(firm_prefs, banned_f)], profile.n_workers
     )
-    all_w = full_mask(profile.n_workers)
-    all_f = full_mask(profile.n_firms)
-    banned_f = [b | (all_w & ~alive_by_w[f]) for f, b in enumerate(banned_f)]
-    banned_w = [b | (all_f & ~alive_by_f[w]) for w, b in enumerate(banned_w)]
+    all_w, all_f = full_mask(profile.n_workers), full_mask(profile.n_firms)
+    banned_f = [b | (all_w & ~(p.acceptable & a)) for p, b, a in zip(firm_prefs, banned_f, alive_by_w)]
+    banned_w = [b | (all_f & ~(p.acceptable & a)) for p, b, a in zip(worker_prefs, banned_w, alive_by_f)]
     return ReducedProfile(profile, mu, mu_tilde, tuple(banned_f), tuple(banned_w))
 
 

@@ -612,6 +612,15 @@ class TestProfileInvariants:
         with pytest.raises(ValueError, match="one preference list required per agent"):
             Profile(2, 1, (Preference(firm(0), ()),), (Preference(worker(0), ()),))
 
+    def test_one_list_per_worker(self):
+        with pytest.raises(ValueError, match="^one preference list required per agent$"):
+            Profile(1, 2, (Preference(firm(0), ()),), (Preference(worker(0), ()),))
+
     def test_one_name_per_agent(self):
         with pytest.raises(ValueError, match="one name required per agent"):
             Profile(1, 1, (Preference(firm(0), ()),), (Preference(worker(0), ()),), ("a", "b"))
+
+    def test_one_name_per_worker(self):
+        lists = (Preference(firm(0), ()),), (Preference(worker(0), ()), Preference(worker(1), ()))
+        with pytest.raises(ValueError, match="^one name required per agent$"):
+            Profile(1, 2, *lists, ("a",), ("b",))

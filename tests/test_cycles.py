@@ -73,8 +73,9 @@ def walk_loops(succ: dict, starts) -> list:
 
 
 # Markets on which a guard of `_successors` is the only thing that keeps a
-# v1 pair from a wrong successor: firm rows, worker rows, mu, mu_tilde. They
-# fail the axioms, which neither `reduce_profile` nor `find_cycles` checks.
+# v1 pair from a wrong successor, or on which the walk in `find_cycles` meets
+# a pair with no successor: firm rows, worker rows, mu, mu_tilde. They fail
+# the axioms, which neither `reduce_profile` nor `find_cycles` checks.
 GUARD_MARKETS = {
     # f's choice without w is not mu(f) - w plus exactly one new worker.
     "firm-shape": (
@@ -96,6 +97,43 @@ GUARD_MARKETS = {
         ["", "f2f3,f1f3,f1f2f3,f1,f1f2,f3,f2", "f1f2f3,f2,f3,f1"],
         (4, 6, 4),
         (0, 6, 2),
+    ),
+    # f's choice without w adds no worker to mu(f) - w; without the guard the
+    # successor is read at worker index -1.
+    "no-new-worker": (
+        ["w1w2,w2", "w2,w1", "w1w2,w1"],
+        ["f1f3,f1f2", "f1f2f3,f2f3,f3,f1f2"],
+        (3, 2, 3),
+        (0, 0, 0),
+    ),
+    # f's choice without w adds two workers to mu(f) - w.
+    "two-new-workers": (
+        ["w2w3", "w2,w1w3,w1w2w3,w3,w1,w2w3"],
+        ["f2", "f1f2", "f2,f1"],
+        (6, 2),
+        (0, 5),
+    ),
+    # w' offered f on top of mu(w') does not keep f.
+    "worker-refuses": (
+        ["w2w3,w1w3,w1,w3", "w1w3,w1w2w3,w2w3,w3,w1w2"],
+        ["f2,f1", "f2,f1f2,f1", "f1f2"],
+        (6, 5),
+        (0, 3),
+    ),
+    # w' offered f drops two firms of mu(w').
+    "two-dropped": (
+        ["w1w2,w2,w1", "w1,w2", "w2,w1w2,w1"],
+        ["f3,f1f3,f2f3,f1f2,f1f2f3,f1", "f1f2f3,f2f3,f1f3,f1f2"],
+        (3, 1, 2),
+        (0, 0, 1),
+    ),
+    # (w2, f2) points at (w1, f1), which has no successor: the walk from
+    # (w2, f2) ends there without a loop.
+    "dead-end": (
+        ["w1w2,w1", "w2,w1"],
+        ["f2,f1,f1f2", "f1f2"],
+        (3, 2),
+        (0, 1),
     ),
 }
 
@@ -152,9 +190,17 @@ class TestSuccessorMap:
         reduced = reduce_profile(
             profile, Matching(mu, profile.n_workers), Matching(mu_tilde, profile.n_workers)
         )
-        assert _successors(reduced) == reference_successors(reduced)
+        succ = reference_successors(reduced)
+        assert _successors(reduced) == succ
+        assert find_cycles(reduced) == walk_loops(succ, sorted(succ))
         for c in find_cycles(reduced):
             assert satisfies_cycle_conditions(reduced, c.pairs)
+
+    def test_dead_end_pair_is_a_successor(self):
+        firm_rows, worker_rows, mu, mu_tilde = GUARD_MARKETS["dead-end"]
+        profile = build_profile(firm_rows, worker_rows)
+        reduced = reduce_profile(profile, Matching(mu, 2), Matching(mu_tilde, 2))
+        assert _successors(reduced) == {(1, 1): (0, 0)}
 
 
 class TestFindCycles:
@@ -235,6 +281,17 @@ class TestCycleConditions:
         assert not satisfies_cycle_conditions(reduced, ())
         mixed = (golden.EX1_SIGMA1[0], golden.EX1_SIGMA2[0])
         assert not satisfies_cycle_conditions(reduced, mixed)
+        # Each pair's equations hold, but a cycle lists each pair once.
+        assert not satisfies_cycle_conditions(reduced, golden.EX1_SIGMA1 + golden.EX1_SIGMA1)
+
+    def test_rejects_pairs_outside_v1(self):
+        # The only stable matching, f1:{w1, w2}, reduced against itself: v1
+        # is empty, yet both pairs satisfy the firm and worker equations.
+        profile = build_profile(["w1w2,w2,w1"], ["f1", "f1"])
+        validate_profile(profile)
+        assert brute_force_stable_set(profile) == [Matching((3,), 2)]
+        reduced = reduce_profile(profile, Matching((3,), 2), Matching((3,), 2))
+        assert not satisfies_cycle_conditions(reduced, ((0, 0), (1, 0)))
 
     def test_worker_equation_alone_rejects(self):
         profile = random_market(GenConfig(4, 4, 2, 1.0, 213))

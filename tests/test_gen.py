@@ -108,6 +108,8 @@ def test_no_side_cap():
     assert (profile.n_firms, profile.n_workers) == (65, 70)
     with pytest.raises(ValueError, match="^side sizes must be at least 1$"):
         GenConfig(0, 3)
+    with pytest.raises(ValueError, match="^side sizes must be at least 1$"):
+        GenConfig(3, 0)
 
 
 def test_cap_error_names_a_worker():

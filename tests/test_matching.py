@@ -72,6 +72,15 @@ class TestStability:
         assert report.irrational_agents == (worker(4),)
         assert not report.stable
 
+    def test_irrational_agent_alone_makes_it_unstable(self):
+        # f1 holds {w1, w2} but ranks only {w1}; both workers accept f1, so
+        # nothing blocks and only the irrational firm makes it unstable.
+        profile = build_profile(["w1"], ["f1", "f1"])
+        report = stability(profile, build_matching(["w1w2"], 2))
+        assert report.irrational_agents == (firm(0),)
+        assert report.blocking_pairs == ()
+        assert not report.stable
+
     def test_example2_middle_matching_is_stable(self, ex2):
         assert stability(ex2.profile, ex2.others["mu"]).stable
 

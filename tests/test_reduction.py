@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import golden
-from conftest import compact_rows, gen_markets, wide_block_market
+from conftest import build_matching, build_profile, compact_rows, gen_markets, wide_block_market
 from manymatch import (
     NotComparable,
     NotStable,
@@ -14,6 +14,7 @@ from manymatch import (
     Preference,
     Profile,
     Side,
+    bit_indices,
     brute_force_stable_set,
     choice,
     deferred_acceptance,
@@ -26,10 +27,12 @@ from manymatch import (
     satisfies_lad,
     stable_set,
     unanimous_blair_geq,
+    validate_profile,
 )
-from manymatch.core import AgentId, firm, worker
+from manymatch.core import AgentId, firm, transpose, worker
 from manymatch.reduction import _step12_banned
 from test_acceptance import CORPUS_SIZE, corpus_config
+from test_cycles import GUARD_MARKETS
 
 markets = gen_markets(4, [0.6, 0.9, 1.0])
 
@@ -183,14 +186,88 @@ class TestBanningOracle:
         mu_w = deferred_acceptance(profile, Side.WORKER)[0]
         for mu in stable:
             wv_mu, wv_mut = mu.worker_view(), mu_w.worker_view()
+            # The step-1/2 bans cover the acceptable partners; the final pass
+            # bans the rest.
             for f in range(profile.n_firms):
                 assert _step12_banned(
                     profile, firm(f), mu.assign[f], mu_w.assign[f]
-                ) == _banned_by_literal_scan(profile, firm(f), mu.assign[f], mu_w.assign[f])
+                ) == _banned_by_literal_scan(
+                    profile, firm(f), mu.assign[f], mu_w.assign[f]
+                ) & profile.firm_prefs[f].acceptable
             for w in range(profile.n_workers):
                 assert _step12_banned(
                     profile, worker(w), wv_mut[w], wv_mu[w]
-                ) == _banned_by_literal_scan(profile, worker(w), wv_mut[w], wv_mu[w])
+                ) == _banned_by_literal_scan(
+                    profile, worker(w), wv_mut[w], wv_mu[w]
+                ) & profile.worker_prefs[w].acceptable
+
+
+def _reference_masks(profile: Profile, mu: Matching, mu_tilde: Matching) -> tuple:
+    """`reduce_profile`'s banned masks as an earlier version built them, with
+    no memo: each step-1/2 call bans every partner outside the list, and the
+    final pass then bans every partner that is not mutually alive."""
+
+    def step12(agent: AgentId, top: int, bot: int) -> int:
+        pref = profile.pref(agent)
+        within = 0
+        for b in bit_indices(pref.acceptable):
+            bit = 1 << b
+            if not top & bit and choice(profile, agent, top | bit) & bit:
+                within |= bit
+            elif not bot & bit and choice(profile, agent, bot | bit) == bot:
+                within |= bit
+        return within | (full_mask(profile.opposite_size(agent.side)) & ~pref.acceptable)
+
+    wv_mu, wv_mut = mu.worker_view(), mu_tilde.worker_view()
+    banned_f = [step12(firm(f), mu.assign[f], mu_tilde.assign[f]) for f in range(profile.n_firms)]
+    banned_w = [step12(worker(w), wv_mut[w], wv_mu[w]) for w in range(profile.n_workers)]
+    alive_by_w = transpose(
+        [p.singletons & ~b for p, b in zip(profile.worker_prefs, banned_w)], profile.n_firms
+    )
+    alive_by_f = transpose(
+        [p.singletons & ~b for p, b in zip(profile.firm_prefs, banned_f)], profile.n_workers
+    )
+    all_w, all_f = full_mask(profile.n_workers), full_mask(profile.n_firms)
+    banned_f = [b | (all_w & ~alive_by_w[f]) for f, b in enumerate(banned_f)]
+    banned_w = [b | (all_f & ~alive_by_f[w]) for w, b in enumerate(banned_w)]
+    return tuple(banned_f), tuple(banned_w)
+
+
+class TestMasksUnchanged:
+    """Every banned mask equals the earlier construction's, bit for bit, on
+    the banned partners outside each list too."""
+
+    @staticmethod
+    def _check(profile: Profile, mu: Matching, mu_tilde: Matching) -> None:
+        reduced = reduce_profile(profile, mu, mu_tilde)
+        assert (reduced.banned_firm, reduced.banned_worker) == _reference_masks(profile, mu, mu_tilde)
+
+    @settings(max_examples=40, deadline=None)
+    @given(profile=markets)
+    def test_gen_markets(self, profile):
+        validate_profile(profile)
+        stable = brute_force_stable_set(profile)
+        for mu in stable:
+            for mu_tilde in stable:
+                if unanimous_blair_geq(profile, mu, mu_tilde, Side.FIRM):
+                    self._check(profile, mu, mu_tilde)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_wide_block_market(self, seed):
+        profile, expected = wide_block_market(seed, pad=2)
+        mu_f = deferred_acceptance(profile, Side.FIRM)[0]
+        mu_w = deferred_acceptance(profile, Side.WORKER)[0]
+        for assign in expected:
+            mu = Matching(assign, profile.n_workers)
+            self._check(profile, mu, mu_w)
+            self._check(profile, mu_f, mu)
+
+    @pytest.mark.parametrize("name", GUARD_MARKETS)
+    def test_guard_markets(self, name):
+        firm_rows, worker_rows, mu, mu_tilde = GUARD_MARKETS[name]
+        profile = build_profile(firm_rows, worker_rows)
+        n = profile.n_workers
+        self._check(profile, Matching(mu, n), Matching(mu_tilde, n))
 
 
 def _rebuilt(profile: Profile) -> Profile:
@@ -306,6 +383,20 @@ class TestInputValidation:
     def test_rejects_wrong_direction(self, ex1):
         with pytest.raises(NotComparable):
             reduce_profile(ex1.profile, ex1.mu_w, ex1.mu_f)
+
+    def test_not_stable_names_an_irrational_agent(self):
+        # f1 holds {w1, w2} but ranks only {w1}; nothing blocks.
+        profile = build_profile(["w1"], ["f1", "f1"])
+        mu_w = deferred_acceptance(profile, Side.WORKER)[0]
+        with pytest.raises(NotStable, match=r"^mu is not stable: irrational f1$"):
+            reduce_profile(profile, build_matching(["w1w2"], 2), mu_w)
+
+    def test_not_stable_names_a_blocking_pair(self):
+        # f1 and w1 accept each other but are both unmatched.
+        profile = build_profile(["w1"], ["f1"])
+        empty = Matching((0,), 1)
+        with pytest.raises(NotStable, match=r"^mu is not stable: blocking \(f1,w1\)$"):
+            reduce_profile(profile, empty, empty)
 
     def test_bad_matchings_are_value_errors(self, ex1):
         # An unstable or non-comparable matching is a bad argument value,
